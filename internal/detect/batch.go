@@ -36,7 +36,7 @@ type BatchOptions struct {
 // checkForBatch is the per-constraint check the batch runs; a variable so
 // the panic-isolation test can inject a panicking constraint without
 // corrupting real datasets.
-var checkForBatch = CheckContext
+var checkForBatch = check
 
 // CheckAll checks a family with no deadline; see CheckAllContext.
 func CheckAll(d *relation.Relation, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
@@ -65,6 +65,12 @@ func CheckAll(d *relation.Relation, as []sc.Approximate, opts BatchOptions) ([]R
 // tests) is handled by Benjamini-Hochberg within each constraint
 // direction.
 func CheckAllContext(ctx context.Context, d *relation.Relation, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
+	return checkAll(ctx, residentSource{d}, as, opts)
+}
+
+// checkAll runs check over the family on the engine pool, records
+// per-constraint failures in Err, and applies the FDR post-pass.
+func checkAll(ctx context.Context, src statSource, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
 	if opts.FDR < 0 || opts.FDR > 1 {
 		return nil, fmt.Errorf("detect: FDR level %v out of [0,1]", opts.FDR)
 	}
@@ -76,7 +82,7 @@ func CheckAllContext(ctx context.Context, d *relation.Relation, as []sc.Approxim
 	results := make([]Result, len(as))
 	errs := engine.Run(ctx, len(as), engine.Options{Workers: workers, Hooks: opts.Hooks},
 		func(ctx context.Context, i int) error {
-			r, err := checkForBatch(ctx, d, as[i], opts.Options)
+			r, err := checkForBatch(ctx, src, as[i], opts.Options)
 			if err != nil {
 				r = Result{Constraint: as[i], Err: fmt.Errorf("constraint %d (%s): %w", i, as[i].SC, err)}
 			}
@@ -101,8 +107,7 @@ func CheckAllContext(ctx context.Context, d *relation.Relation, as []sc.Approxim
 }
 
 // applyFDR replaces the per-constraint alpha decisions in results with
-// family-wise Benjamini-Hochberg control. Shared by the resident and
-// streaming batch paths.
+// family-wise Benjamini-Hochberg control.
 //
 // Partition by direction: ISC violations are small-p discoveries;
 // DSC violations are failures to discover dependence. Errored

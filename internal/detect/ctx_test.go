@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"scoded/internal/engine"
-	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
 
@@ -55,8 +54,8 @@ func TestCheckAllContextCancelMidBatch(t *testing.T) {
 	defer func() { checkForBatch = orig }()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	checkForBatch = func(ctx context.Context, d *relation.Relation, a sc.Approximate, opts Options) (Result, error) {
-		r, err := CheckContext(ctx, d, a, opts)
+	checkForBatch = func(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
+		r, err := check(ctx, src, a, opts)
 		cancel()
 		return r, err
 	}
@@ -114,11 +113,11 @@ func TestCheckAllContextPanicIsolation(t *testing.T) {
 	d := batchRelation(5)
 	as := batchFamily(6)
 	victim := as[2].SC.String()
-	checkForBatch = func(ctx context.Context, d *relation.Relation, a sc.Approximate, opts Options) (Result, error) {
+	checkForBatch = func(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
 		if a.SC.String() == victim {
 			panic("injected failure")
 		}
-		return CheckContext(ctx, d, a, opts)
+		return check(ctx, src, a, opts)
 	}
 
 	results, err := CheckAllContext(context.Background(), d, as, BatchOptions{Workers: 3})

@@ -174,22 +174,58 @@ func Check(d *relation.Relation, a sc.Approximate, opts Options) (Result, error)
 // and inside the kernel cache, so a deadline interrupts a long conditional
 // test without waiting for every stratum).
 func CheckContext(ctx context.Context, d *relation.Relation, a sc.Approximate, opts Options) (Result, error) {
+	return check(ctx, residentSource{d}, a, opts)
+}
+
+// statSource is what Algorithm 1 reads from a dataset: column kinds, the
+// row count, and per-stratum statistics of one X/Y pair. residentSource
+// serves a materialized relation through the kernel cache; streamSource
+// (stream.go) folds store segments through a kernel.Streamer. check is the
+// one driver over both, so the paths differ only in where the statistics
+// come from, and the sources reproduce those bit for bit.
+type statSource interface {
+	// columnKind reports a column's kind and whether the dataset has it.
+	columnKind(col string) (relation.Kind, bool)
+	// numRows is the dataset's row count.
+	numRows() int
+	// accepts rejects options the source cannot serve.
+	accepts(opts Options) error
+	// stratify prepares the statistics of x against y under method for
+	// every stratum of z; an empty z is one stratum, the whole dataset.
+	stratify(ctx context.Context, z []string, x, y string, method Method, opts Options) (strata, error)
+}
+
+// strata is one stratified X/Y pair: the sorted stratum keys (relation.RowKey
+// form), each stratum's size, and its test. The driver calls test only for
+// strata it does not skip, so a skipped stratum never touches the cache.
+type strata struct {
+	keys []string
+	size func(i int) int
+	test func(ctx context.Context, i int) (stats.TestResult, error)
+}
+
+// marginalKeys keys the single stratum of an unconditioned pair.
+var marginalKeys = []string{""}
+
+// check is Algorithm 1 over any statistics source: validation, the column
+// check, leaf decomposition and the set-level combination.
+func check(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
 	if err := a.Validate(); err != nil {
 		return Result{}, err
 	}
 	for _, col := range a.SC.Columns() {
-		if !d.HasColumn(col) {
+		if _, ok := src.columnKind(col); !ok {
 			return Result{}, fmt.Errorf("detect: dataset lacks column %q required by %s", col, a.SC)
 		}
 	}
-	if opts.Cache != nil && opts.Cache.Relation() != d {
-		return Result{}, fmt.Errorf("detect: kernel cache is bound to a different relation")
+	if err := src.accepts(opts); err != nil {
+		return Result{}, err
 	}
 	opts = opts.withDefaults()
 
 	leaves := a.SC.Decompose()
 	if len(leaves) == 1 {
-		return checkSingle(ctx, d, sc.Approximate{SC: leaves[0], Alpha: a.Alpha}, opts)
+		return checkSingle(ctx, src, sc.Approximate{SC: leaves[0], Alpha: a.Alpha}, opts)
 	}
 
 	// Set-valued constraint: test every leaf, then combine.
@@ -198,18 +234,17 @@ func CheckContext(ctx context.Context, d *relation.Relation, a sc.Approximate, o
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("detect: %w", err)
 		}
-		lr, err := checkSingle(ctx, d, sc.Approximate{SC: leaf, Alpha: a.Alpha}, opts)
+		lr, err := checkSingle(ctx, src, sc.Approximate{SC: leaf, Alpha: a.Alpha}, opts)
 		if err != nil {
 			return Result{}, fmt.Errorf("detect: leaf %s: %w", leaf, err)
 		}
 		leafResults = append(leafResults, lr)
 	}
-	return combineLeaves(a, leafResults, d.NumRows())
+	return combineLeaves(a, leafResults, src.numRows())
 }
 
 // combineLeaves fuses the per-leaf results of a decomposed set constraint
-// with Fisher's method and applies the set-level violation rule. Shared by
-// the resident and streaming paths.
+// with Fisher's method and applies the set-level violation rule.
 func combineLeaves(a sc.Approximate, leafResults []Result, rows int) (Result, error) {
 	res := Result{Constraint: a, Leaves: leafResults}
 	ps := make([]float64, 0, len(leafResults))
@@ -241,47 +276,59 @@ func combineLeaves(a sc.Approximate, leafResults []Result, rows int) (Result, er
 }
 
 // checkSingle handles a constraint with single-variable X and Y, possibly
-// conditional.
-func checkSingle(ctx context.Context, d *relation.Relation, a sc.Approximate, opts Options) (Result, error) {
+// conditional: a marginal pair is one test; a conditional one stratifies on
+// Z, skips strata below MinStratumSize and combines the rest.
+func checkSingle(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
 	x, y := a.SC.X[0], a.SC.Y[0]
-	method, err := resolveMethod(d, x, y, opts.Method)
+	kx, _ := src.columnKind(x)
+	ky, _ := src.columnKind(y)
+	method, err := resolveMethodKinds(x, y, kx, ky, opts.Method)
+	if err != nil {
+		return Result{}, err
+	}
+	st, err := src.stratify(ctx, a.SC.Z, x, y, method, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Constraint: a, Method: method}
 
 	if a.SC.IsMarginal() {
-		tr, err := testPair(ctx, d, x, y, method, opts, nil, opts.Cache.AllRowsKey())
-		if err != nil {
+		if res.Test, err = st.test(ctx, 0); err != nil {
 			return Result{}, err
 		}
-		res.Test = tr
 	} else {
-		tr, strata, err := testConditional(ctx, d, a.SC, method, opts)
-		if err != nil {
+		comb := stratumCombiner{method: method}
+		for i, k := range st.keys {
+			if err := ctx.Err(); err != nil {
+				return Result{}, fmt.Errorf("detect: %w", err)
+			}
+			sr := StratumResult{Key: displayKey(k), Size: st.size(i)}
+			if sr.Size < opts.MinStratumSize {
+				sr.Skipped = true
+				res.Strata = append(res.Strata, sr)
+				continue
+			}
+			tr, err := st.test(ctx, i)
+			if err != nil {
+				return Result{}, fmt.Errorf("detect: stratum %s: %w", sr.Key, err)
+			}
+			sr.Test = tr
+			res.Strata = append(res.Strata, sr)
+			comb.add(tr, sr.Size)
+		}
+		if res.Test, err = comb.combine(src.numRows()); err != nil {
 			return Result{}, err
 		}
-		res.Test = tr
-		res.Strata = strata
 	}
 
-	if a.SC.Dependence {
-		res.Violated = res.Test.P >= a.Alpha
-	} else {
-		res.Violated = res.Test.P < a.Alpha
-	}
+	// The violation rule: an independence SC is violated by significant
+	// dependence (p < α), a dependence SC by its absence (p ≥ α).
+	res.Violated = res.Test.P < a.Alpha && !a.SC.Dependence || res.Test.P >= a.Alpha && a.SC.Dependence
 	return res, nil
 }
 
-// resolveMethod turns Auto into a concrete method and validates that the
-// requested method can handle the column kinds.
-func resolveMethod(d *relation.Relation, x, y string, m Method) (Method, error) {
-	return resolveMethodKinds(x, y, d.MustColumn(x).Kind, d.MustColumn(y).Kind, m)
-}
-
-// resolveMethodKinds is the kind-based core of resolveMethod, shared with
-// the streaming path (which has no materialized relation, only the schema)
-// so both paths resolve Auto — and reject kind mismatches — identically.
+// resolveMethodKinds turns Auto into a concrete method and validates that
+// the requested method can handle the column kinds.
 func resolveMethodKinds(x, y string, kx, ky relation.Kind, m Method) (Method, error) {
 	bothNum := kx == relation.Numeric && ky == relation.Numeric
 	switch m {
@@ -306,48 +353,56 @@ func resolveMethodKinds(x, y string, kx, ky relation.Kind, m Method) (Method, er
 	}
 }
 
-// testConditional stratifies on Z and combines the per-stratum evidence.
-// The partition — and, through the per-stratum rows keys, every stratum's
-// codings and tables — is shared across constraints via the kernel cache.
-func testConditional(ctx context.Context, d *relation.Relation, c sc.SC, method Method, opts Options) (stats.TestResult, []StratumResult, error) {
-	part, err := opts.Cache.PartitionContext(ctx, d, c.Z)
+// residentSource serves a materialized relation. Every artifact — the
+// partition, and through the per-stratum rows keys every stratum's codings
+// and tables — is read through opts.Cache, so constraints sharing attributes
+// or conditioning sets share one computation.
+type residentSource struct{ d *relation.Relation }
+
+func (r residentSource) columnKind(col string) (relation.Kind, bool) {
+	c, err := r.d.Column(col)
 	if err != nil {
-		return stats.TestResult{}, nil, fmt.Errorf("detect: %w", err)
+		return 0, false
 	}
-	var strata []StratumResult
-	comb := stratumCombiner{method: method}
-	for _, k := range part.Keys {
-		if err := ctx.Err(); err != nil {
-			return stats.TestResult{}, nil, fmt.Errorf("detect: %w", err)
-		}
-		rows := part.Groups[k]
-		sr := StratumResult{Key: displayKey(k), Size: len(rows)}
-		if len(rows) < opts.MinStratumSize {
-			sr.Skipped = true
-			strata = append(strata, sr)
-			continue
-		}
-		tr, err := testPair(ctx, d, c.X[0], c.Y[0], method, opts, rows, part.StratumRowsKey(k))
-		if err != nil {
-			return stats.TestResult{}, nil, fmt.Errorf("detect: stratum %s: %w", sr.Key, err)
-		}
-		sr.Test = tr
-		strata = append(strata, sr)
-		comb.add(tr, len(rows))
+	return c.Kind, true
+}
+
+func (r residentSource) numRows() int { return r.d.NumRows() }
+
+func (r residentSource) accepts(opts Options) error {
+	if opts.Cache != nil && opts.Cache.Relation() != r.d {
+		return fmt.Errorf("detect: kernel cache is bound to a different relation")
 	}
-	tr, err := comb.combine(d.NumRows())
+	return nil
+}
+
+func (r residentSource) stratify(ctx context.Context, z []string, x, y string, method Method, opts Options) (strata, error) {
+	if len(z) == 0 {
+		return strata{
+			keys: marginalKeys,
+			size: func(int) int { return r.d.NumRows() },
+			test: func(ctx context.Context, _ int) (stats.TestResult, error) {
+				return testPair(ctx, r.d, x, y, method, opts, nil, opts.Cache.AllRowsKey())
+			},
+		}, nil
+	}
+	part, err := opts.Cache.PartitionContext(ctx, r.d, z)
 	if err != nil {
-		return stats.TestResult{}, nil, err
+		return strata{}, fmt.Errorf("detect: %w", err)
 	}
-	return tr, strata, nil
+	return strata{
+		keys: part.Keys,
+		size: func(i int) int { return len(part.Groups[part.Keys[i]]) },
+		test: func(ctx context.Context, i int) (stats.TestResult, error) {
+			k := part.Keys[i]
+			return testPair(ctx, r.d, x, y, method, opts, part.Groups[k], part.StratumRowsKey(k))
+		},
+	}, nil
 }
 
 // stratumCombiner accumulates per-stratum test results and combines them
 // into the conditional test: summed G evidence for the G family, weighted
-// Stouffer z for the rank methods. The resident and streaming conditional
-// paths share this one implementation so their combination arithmetic —
-// including the z clamp and the all-strata-skipped fallback — cannot
-// diverge.
+// Stouffer z for the rank methods.
 type stratumCombiner struct {
 	method Method
 	gParts []stats.TestResult

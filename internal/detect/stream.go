@@ -5,20 +5,21 @@ import (
 	"fmt"
 
 	"scoded/internal/kernel"
+	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
 )
 
-// The streaming detection path (DESIGN.md section 16): CheckAllStream runs
-// the same Algorithm 1 decisions as CheckAllContext, but sources its
-// statistics from a kernel.Streamer — per-segment sufficient statistics
-// merged across store chunks — instead of a materialized relation. Results
-// are bit-identical to the in-memory path for every supported method: the
-// partials reproduce the exact integers, coding order, and float
-// arithmetic of the resident kernels (pinned by TestCheckAllStreamIdentity
-// and the stats partial property tests).
+// Streamed detection (DESIGN.md section 16): CheckAllStream runs the one
+// Algorithm 1 driver over streamSource, which reads each pair's per-stratum
+// statistics from a kernel.Streamer — contingency tables and Kendall
+// partials merged across store chunks — instead of a materialized relation.
+// Results are bit-identical to CheckAllContext for every supported method:
+// the partials reproduce the exact integers, coding order, and float
+// arithmetic of the resident kernels (pinned by TestCheckAllStreamIdentity,
+// FuzzCheckAllPaths and the stats partial property tests).
 //
-// The streaming path is deliberately narrower than the resident one. The
+// The streamed source is deliberately narrower than the resident one. The
 // permutation tests (ExactG, ExactKendall, and the AutoExact fallback)
 // need full per-stratum row vectors and a shared deterministic Rng, and
 // Pearson/Spearman need whole-column float vectors in row order; those
@@ -43,150 +44,61 @@ func StreamEligible(opts Options) bool {
 // CheckAllStream checks a family of approximate SCs against a streamed
 // dataset. The result slice is element-for-element identical (same
 // ordering, same Err wrapping, same FDR post-pass) to CheckAllContext on
-// the materialized relation. Constraints run sequentially — each one is a
-// full scan pass over the store, so the working set stays bounded by one
-// tested column pair instead of the whole dataset; the trade is I/O for
-// memory. When ctx ends mid-family, finished constraints keep their
-// results and the rest report the context error, mirroring the pool path.
+// the materialized relation. Constraints run one at a time (Workers is
+// forced to 1) — each one is a full scan pass over the store, so the
+// working set stays bounded by one tested column pair instead of the whole
+// dataset; the trade is I/O for memory. When ctx ends mid-family, finished
+// constraints keep their results and the rest report the context error.
 func CheckAllStream(ctx context.Context, st *kernel.Streamer, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
-	if opts.FDR < 0 || opts.FDR > 1 {
-		return nil, fmt.Errorf("detect: FDR level %v out of [0,1]", opts.FDR)
-	}
-	o := opts.Options
-	results := make([]Result, len(as))
-	for i, a := range as {
-		var r Result
-		err := ctx.Err()
-		if err == nil {
-			r, err = checkStream(ctx, st, a, o)
-		}
-		if err != nil {
-			r = Result{Constraint: as[i], Err: fmt.Errorf("constraint %d (%s): %w", i, as[i].SC, err)}
-		}
-		results[i] = r
-	}
-	if opts.FDR <= 0 {
-		return results, nil
-	}
-	if err := applyFDR(results, opts.FDR); err != nil {
-		return nil, err
-	}
-	return results, nil
+	opts.Workers = 1
+	return checkAll(ctx, streamSource{st}, as, opts)
 }
 
-// checkStream mirrors CheckContext over a streamed source.
-func checkStream(ctx context.Context, st *kernel.Streamer, a sc.Approximate, opts Options) (Result, error) {
-	if err := a.Validate(); err != nil {
-		return Result{}, err
-	}
-	for _, col := range a.SC.Columns() {
-		if _, ok := st.ColumnKind(col); !ok {
-			return Result{}, fmt.Errorf("detect: dataset lacks column %q required by %s", col, a.SC)
-		}
-	}
+// streamSource serves a streamed dataset: one scan pass per stratified pair.
+type streamSource struct{ st *kernel.Streamer }
+
+func (s streamSource) columnKind(col string) (relation.Kind, bool) { return s.st.ColumnKind(col) }
+
+func (s streamSource) numRows() int { return s.st.Rows() }
+
+func (s streamSource) accepts(opts Options) error {
 	if !StreamEligible(opts) {
-		return Result{}, fmt.Errorf("detect: method %s is not stream-eligible", opts.Method)
+		return fmt.Errorf("detect: method %s is not stream-eligible", opts.Method)
 	}
-	opts = opts.withDefaults()
-
-	leaves := a.SC.Decompose()
-	if len(leaves) == 1 {
-		return checkSingleStream(ctx, st, sc.Approximate{SC: leaves[0], Alpha: a.Alpha}, opts)
-	}
-	leafResults := make([]Result, 0, len(leaves))
-	for _, leaf := range leaves {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("detect: %w", err)
-		}
-		lr, err := checkSingleStream(ctx, st, sc.Approximate{SC: leaf, Alpha: a.Alpha}, opts)
-		if err != nil {
-			return Result{}, fmt.Errorf("detect: leaf %s: %w", leaf, err)
-		}
-		leafResults = append(leafResults, lr)
-	}
-	return combineLeaves(a, leafResults, st.Rows())
+	return nil
 }
 
-// checkSingleStream mirrors checkSingle: one streaming pass accumulates
-// every stratum's sufficient statistic, then the shared stratumCombiner
-// fuses them exactly as the resident conditional path does.
-func checkSingleStream(ctx context.Context, st *kernel.Streamer, a sc.Approximate, opts Options) (Result, error) {
-	x, y := a.SC.X[0], a.SC.Y[0]
-	kx, _ := st.ColumnKind(x)
-	ky, _ := st.ColumnKind(y)
-	method, err := resolveMethodKinds(x, y, kx, ky, opts.Method)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Constraint: a, Method: method}
-
-	var sres *kernel.StreamResult
+func (s streamSource) stratify(ctx context.Context, z []string, x, y string, method Method, opts Options) (strata, error) {
+	var res *kernel.StreamResult
+	var err error
 	if method == Kendall {
-		sres, err = st.RunKendall(ctx, a.SC.Z, x, y)
+		res, err = s.st.RunKendall(ctx, z, x, y)
 	} else {
-		sres, err = st.RunTable(ctx, a.SC.Z, x, y, opts.Bins)
+		res, err = s.st.RunTable(ctx, z, x, y, opts.Bins)
 	}
 	if err != nil {
-		return Result{}, fmt.Errorf("detect: %w", err)
+		return strata{}, fmt.Errorf("detect: %w", err)
 	}
-
-	if a.SC.IsMarginal() {
-		stratum := sres.Strata[""]
-		if stratum == nil {
-			// Zero-row dataset: synthesize the empty stratum so the test
-			// errors exactly like the resident path's empty-input errors.
-			stratum = &kernel.StreamStratum{Kendall: stats.NewKendallPartial()}
-			if method != Kendall {
-				stratum.Table = stats.Table{}
-			}
-		}
-		tr, err := streamStratumTest(stratum, method)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Test = tr
-	} else {
-		var strata []StratumResult
-		comb := stratumCombiner{method: method}
-		for _, k := range sres.Keys {
-			if err := ctx.Err(); err != nil {
-				return Result{}, fmt.Errorf("detect: %w", err)
-			}
-			stratum := sres.Strata[k]
-			sr := StratumResult{Key: displayKey(k), Size: stratum.Size}
-			if stratum.Size < opts.MinStratumSize {
-				sr.Skipped = true
-				strata = append(strata, sr)
-				continue
-			}
-			tr, err := streamStratumTest(stratum, method)
-			if err != nil {
-				return Result{}, fmt.Errorf("detect: stratum %s: %w", sr.Key, err)
-			}
-			sr.Test = tr
-			strata = append(strata, sr)
-			comb.add(tr, stratum.Size)
-		}
-		tr, err := comb.combine(st.Rows())
-		if err != nil {
-			return Result{}, err
-		}
-		res.Test = tr
-		res.Strata = strata
+	keys := res.Keys
+	if len(z) == 0 {
+		keys = marginalKeys // a zero-row marginal run yields no stratum at all
 	}
-
-	if a.SC.Dependence {
-		res.Violated = res.Test.P >= a.Alpha
-	} else {
-		res.Violated = res.Test.P < a.Alpha
+	stratum := func(i int) *kernel.StreamStratum {
+		if st := res.Strata[keys[i]]; st != nil {
+			return st
+		}
+		// Zero-row dataset: an empty stratum, so the test errors exactly
+		// like the resident path's empty-input errors.
+		return &kernel.StreamStratum{Kendall: stats.NewKendallPartial()}
 	}
-	return res, nil
-}
-
-// streamStratumTest evaluates one stratum's accumulated statistic.
-func streamStratumTest(stratum *kernel.StreamStratum, method Method) (stats.TestResult, error) {
-	if method == Kendall {
-		return stratum.Kendall.Test()
-	}
-	return stats.GTest(stratum.Table)
+	return strata{
+		keys: keys,
+		size: func(i int) int { return stratum(i).Size },
+		test: func(_ context.Context, i int) (stats.TestResult, error) {
+			if method == Kendall {
+				return stratum(i).Kendall.Test()
+			}
+			return stats.GTest(stratum(i).Table)
+		},
+	}, nil
 }

@@ -74,25 +74,11 @@ func storeStreamer(t *testing.T, rel *relation.Relation, windowRows int) (*kerne
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	m, err := st.Manifest("w")
+	src, err := kernel.StoreSource(st, "w", windowRows)
 	if err != nil {
-		t.Fatalf("Manifest: %v", err)
+		t.Fatalf("StoreSource: %v", err)
 	}
-	cols := make([]kernel.StreamColumn, len(m.Schema))
-	for i, sc := range m.Schema {
-		k := relation.Numeric
-		if sc.Kind == store.ColKindCategorical {
-			k = relation.Categorical
-		}
-		cols[i] = kernel.StreamColumn{Name: sc.Name, Kind: k}
-	}
-	streamer, err := kernel.NewStreamer(kernel.StreamSource{
-		Columns: cols,
-		Rows:    m.Rows,
-		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
-			return st.ScanChunks(ctx, "w", windowRows, fn)
-		},
-	})
+	streamer, err := kernel.NewStreamer(src)
 	if err != nil {
 		t.Fatalf("NewStreamer: %v", err)
 	}

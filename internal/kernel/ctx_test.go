@@ -3,6 +3,7 @@ package kernel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -19,10 +20,10 @@ func TestDoCancelledWaiter(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		c.do(context.Background(), "k", func() any {
+		c.do(context.Background(), "k", func() (any, error) {
 			close(leaderIn)
 			<-release
-			return 42
+			return 42, nil
 		})
 	}()
 	<-leaderIn
@@ -30,7 +31,7 @@ func TestDoCancelledWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := c.do(ctx, "k", func() any { return 0 })
+		_, err := c.do(ctx, "k", func() (any, error) { return 0, nil })
 		waiterErr <- err
 	}()
 	cancel()
@@ -41,7 +42,7 @@ func TestDoCancelledWaiter(t *testing.T) {
 	close(release)
 	wg.Wait()
 	// The leader was never disturbed: the value is cached and readable.
-	v, err := c.do(context.Background(), "k", func() any { t.Error("recomputed"); return 0 })
+	v, err := c.do(context.Background(), "k", func() (any, error) { t.Error("recomputed"); return 0, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("got (%v, %v), want (42, nil)", v, err)
 	}
@@ -53,7 +54,7 @@ func TestDoPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, c := range []*Cache{nil, New(testRelation(t))} {
-		_, err := c.do(ctx, "k", func() any { t.Error("compute ran"); return 0 })
+		_, err := c.do(ctx, "k", func() (any, error) { t.Error("compute ran"); return 0, nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("cache=%v: err %v, want context.Canceled", c != nil, err)
 		}
@@ -75,7 +76,7 @@ func TestDoPanicHandsOff(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-leaderIn
-		v, err := c.do(context.Background(), "k", func() any { return "recovered" })
+		v, err := c.do(context.Background(), "k", func() (any, error) { return "recovered", nil })
 		if err != nil {
 			t.Errorf("retrying waiter failed: %v", err)
 		}
@@ -89,7 +90,7 @@ func TestDoPanicHandsOff(t *testing.T) {
 			}
 			close(boom)
 		}()
-		c.do(context.Background(), "k", func() any {
+		c.do(context.Background(), "k", func() (any, error) {
 			close(leaderIn)
 			panic("compute exploded")
 		})
@@ -99,5 +100,53 @@ func TestDoPanicHandsOff(t *testing.T) {
 	wg.Wait()
 	if v := <-waiterVal; v != "recovered" {
 		t.Fatalf("waiter saw %v, want the recomputed value", v)
+	}
+}
+
+// TestNestedLookupCancelled: a table leader whose nested codes lookup waits
+// on another goroutine's in-flight coding returns its own context error
+// instead of blocking, caches nothing, and the next caller recomputes.
+func TestNestedLookupCancelled(t *testing.T) {
+	d := testRelation(t)
+	c := New(d)
+	codingIn := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Categorical codings are keyed with bins normalized to 0.
+		c.do(context.Background(), codesKey("A", 0, ""), func() (any, error) {
+			close(codingIn)
+			<-release
+			codes, k := CodesFor(d, "A", 0, nil)
+			return codesVal{codes: codes, k: k}, nil
+		})
+	}()
+	<-codingIn
+
+	ctx, cancel := context.WithCancel(context.Background())
+	tableErr := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.TableContext(ctx, d, "A", "Z", 4, "", nil)
+		tableErr <- err
+	}()
+	// The nested codes lookup counts a hit once it waits on the coding.
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	cancel()
+	if err := <-tableErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("table lookup under a cancelled nested wait returned %v, want context.Canceled", err)
+	}
+
+	close(release)
+	wg.Wait()
+	before := c.Stats().Misses
+	if _, _, _, err := c.TableContext(context.Background(), d, "A", "Z", 4, "", nil); err != nil {
+		t.Fatalf("table after handoff: %v", err)
+	}
+	if c.Stats().Misses == before {
+		t.Fatal("the cancelled table computation was cached")
 	}
 }

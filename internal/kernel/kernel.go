@@ -154,9 +154,10 @@ func (c *Cache) Version() uint64 {
 }
 
 // AllRowsKey returns the canonical rowsKey for the whole relation at this
-// view's version. Passing it (with nil rows) to Codes / Floats / Table /
-// KendallPrep scopes the entry to this version, so an append — which does
-// change the all-rows subset — naturally misses onto fresh entries. A nil
+// view's version. Passing it (with nil rows) to the Codes / Floats / Table
+// / KendallPrep lookups scopes the entry to this version, so an append —
+// which does change the all-rows subset — naturally misses onto fresh
+// entries. A nil
 // cache returns "" (the key is never used on the uncached path).
 func (c *Cache) AllRowsKey() string {
 	if c == nil {
@@ -202,13 +203,15 @@ func (c *Cache) Stats() Stats {
 // (after the same context check, so cancellation semantics are identical
 // cached and uncached). Waiters whose context ends return ctx.Err() instead
 // of blocking on the leader; a leader cancelled before computing — or whose
-// compute panics — hands the key off so another caller can claim it.
-func (c *Cache) do(ctx context.Context, key string, compute func() any) (any, error) {
+// compute fails or panics — hands the key off so another caller can claim
+// it. compute fails only with the caller's context error, from a nested
+// lookup; such an error is returned, never cached.
+func (c *Cache) do(ctx context.Context, key string, compute func() (any, error)) (any, error) {
 	if c == nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return compute(), nil
+		return compute()
 	}
 	st := c.state
 	for {
@@ -240,17 +243,19 @@ func (c *Cache) do(ctx context.Context, key string, compute func() any) (any, er
 		st.gen[key] = c.version
 		st.mu.Unlock()
 		st.misses.Add(1)
-		c.lead(f, key, compute)
+		if err := c.lead(f, key, compute); err != nil {
+			return nil, err
+		}
 		return f.val, nil
 	}
 }
 
-// lead runs one leadership term: compute the value, or — if compute panics
-// — withdraw the entry, mark it handed off, release the waiters, and let
-// the panic continue to unwind (the engine's per-item recovery turns it
-// into that item's error; waiters meanwhile retry cleanly instead of
-// consuming a poisoned nil value).
-func (c *Cache) lead(f *flight, key string, compute func() any) {
+// lead runs one leadership term: compute the value, or — if compute fails
+// or panics — withdraw the entry, mark it handed off, release the waiters,
+// and return the error or let the panic continue to unwind (the engine's
+// per-item recovery turns it into that item's error; waiters meanwhile
+// retry cleanly instead of consuming a poisoned nil value).
+func (c *Cache) lead(f *flight, key string, compute func() (any, error)) error {
 	completed := false
 	defer func() {
 		if !completed {
@@ -263,8 +268,13 @@ func (c *Cache) lead(f *flight, key string, compute func() any) {
 		}
 		close(f.done)
 	}()
-	f.val = compute()
+	val, err := compute()
+	if err != nil {
+		return err
+	}
+	f.val = val
 	completed = true
+	return nil
 }
 
 // Cache keys are kind-prefixed strings with NUL field separators. Column
@@ -321,9 +331,9 @@ func (c *Cache) CodesContext(ctx context.Context, d *relation.Relation, col stri
 	if d.MustColumn(col).Kind == relation.Categorical {
 		bins = 0
 	}
-	v, err := c.do(ctx, codesKey(col, bins, rowsKey), func() any {
+	v, err := c.do(ctx, codesKey(col, bins, rowsKey), func() (any, error) {
 		codes, k := CodesFor(d, col, bins, rows)
-		return codesVal{codes: codes, k: k}
+		return codesVal{codes: codes, k: k}, nil
 	})
 	if err != nil {
 		return nil, 0, err
@@ -332,31 +342,17 @@ func (c *Cache) CodesContext(ctx context.Context, d *relation.Relation, col stri
 	return cv.codes, cv.k, nil
 }
 
-// Codes is CodesContext without cancellation (context.Background() never
-// ends, so the context error is impossible). Kept as the historical API for
-// call sites with no deadline to honor.
-func (c *Cache) Codes(d *relation.Relation, col string, bins int, rowsKey string, rows []int) ([]int32, int) {
-	codes, k, _ := c.CodesContext(context.Background(), d, col, bins, rowsKey, rows)
-	return codes, k
-}
-
 // FloatsContext returns the float values of a numeric column over the given
 // row subset. The returned slice is shared — callers must not mutate it
 // (every stats consumer copies before sorting or shuffling).
 func (c *Cache) FloatsContext(ctx context.Context, d *relation.Relation, col, rowsKey string, rows []int) ([]float64, error) {
-	v, err := c.do(ctx, floatsKey(col, rowsKey), func() any {
-		return FloatsFor(d, col, rows)
+	v, err := c.do(ctx, floatsKey(col, rowsKey), func() (any, error) {
+		return FloatsFor(d, col, rows), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.([]float64), nil
-}
-
-// Floats is FloatsContext without cancellation.
-func (c *Cache) Floats(d *relation.Relation, col, rowsKey string, rows []int) []float64 {
-	vals, _ := c.FloatsContext(context.Background(), d, col, rowsKey, rows)
-	return vals
 }
 
 // PartitionContext returns the group-by partition of the relation on the
@@ -370,10 +366,10 @@ func (c *Cache) Floats(d *relation.Relation, col, rowsKey string, rows []int) []
 // the identical row list, so its strata keys — and every codes / table /
 // Kendall entry hanging off them — remain valid and warm.
 func (c *Cache) PartitionContext(ctx context.Context, d *relation.Relation, z []string) (*Partition, error) {
-	v, err := c.do(ctx, partitionCacheKey(z)+keySep+"@"+strconv.FormatUint(c.Version(), 16), func() any { //scoded:lint-ignore allochot one key per partition lookup, not per row
+	v, err := c.do(ctx, partitionCacheKey(z)+keySep+"@"+strconv.FormatUint(c.Version(), 16), func() (any, error) { //scoded:lint-ignore allochot one key per partition lookup, not per row
 		p := PartitionOf(d, z)
 		c.stampPartition(p)
-		return p
+		return p, nil
 	})
 	if err != nil {
 		return nil, err
@@ -411,22 +407,22 @@ func (c *Cache) stampPartition(p *Partition) {
 	}
 }
 
-// Partition is PartitionContext without cancellation.
-func (c *Cache) Partition(d *relation.Relation, z []string) *Partition {
-	p, _ := c.PartitionContext(context.Background(), d, z)
-	return p
-}
-
 // TableContext returns the contingency table of the (x, y) column pair over
 // the given row subset, together with the two cardinalities. The table is
 // shared — callers must not mutate it (copy first to run a drill-down).
 // The key is order-sensitive: a transposed table is a different float
 // summation order, and the cache never substitutes one for the other.
 func (c *Cache) TableContext(ctx context.Context, d *relation.Relation, x, y string, bins int, rowsKey string, rows []int) (stats.Table, int, int, error) {
-	v, err := c.do(ctx, tableKey(x, y, bins, rowsKey), func() any {
-		xc, kx := c.Codes(d, x, bins, rowsKey, rows)
-		yc, ky := c.Codes(d, y, bins, rowsKey, rows)
-		return tableVal{t: stats.TableFromCodes(xc, yc, kx, ky), kx: kx, ky: ky}
+	v, err := c.do(ctx, tableKey(x, y, bins, rowsKey), func() (any, error) {
+		xc, kx, err := c.CodesContext(ctx, d, x, bins, rowsKey, rows)
+		if err != nil {
+			return nil, err
+		}
+		yc, ky, err := c.CodesContext(ctx, d, y, bins, rowsKey, rows)
+		if err != nil {
+			return nil, err
+		}
+		return tableVal{t: stats.TableFromCodes(xc, yc, kx, ky), kx: kx, ky: ky}, nil
 	})
 	if err != nil {
 		return stats.Table{}, 0, 0, err
@@ -435,31 +431,26 @@ func (c *Cache) TableContext(ctx context.Context, d *relation.Relation, x, y str
 	return tv.t, tv.kx, tv.ky, nil
 }
 
-// Table is TableContext without cancellation.
-func (c *Cache) Table(d *relation.Relation, x, y string, bins int, rowsKey string, rows []int) (stats.Table, int, int) {
-	t, kx, ky, _ := c.TableContext(context.Background(), d, x, y, bins, rowsKey, rows)
-	return t, kx, ky
-}
-
 // KendallPrepContext returns the reusable sort/tie precomputation of
 // Kendall's tau for the (x, y) column pair over the given row subset.
 // Validation errors (NaN values, too-small samples) are deterministic and
 // cached alongside; a context error is returned as-is and caches nothing.
 func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x, y, rowsKey string, rows []int) (*stats.KendallPrep, error) {
-	v, err := c.do(ctx, tauKey(x, y, rowsKey), func() any {
-		xv := c.Floats(d, x, rowsKey, rows)
-		yv := c.Floats(d, y, rowsKey, rows)
+	v, err := c.do(ctx, tauKey(x, y, rowsKey), func() (any, error) {
+		xv, err := c.FloatsContext(ctx, d, x, rowsKey, rows)
+		if err != nil {
+			return nil, err
+		}
+		yv, err := c.FloatsContext(ctx, d, y, rowsKey, rows)
+		if err != nil {
+			return nil, err
+		}
 		p, err := stats.PrepKendall(xv, yv)
-		return prepVal{p: p, err: err}
+		return prepVal{p: p, err: err}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	pv := v.(prepVal)
 	return pv.p, pv.err
-}
-
-// KendallPrep is KendallPrepContext without cancellation.
-func (c *Cache) KendallPrep(d *relation.Relation, x, y, rowsKey string, rows []int) (*stats.KendallPrep, error) {
-	return c.KendallPrepContext(context.Background(), d, x, y, rowsKey, rows)
 }

@@ -52,9 +52,9 @@ func TestSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			vals[g], _ = c.do(context.Background(), "k", func() any {
+			vals[g], _ = c.do(context.Background(), "k", func() (any, error) {
 				computes.Add(1)
-				return []int{1, 2, 3}
+				return []int{1, 2, 3}, nil
 			})
 		}(g)
 	}
@@ -75,6 +75,7 @@ func TestSingleFlight(t *testing.T) {
 
 // TestNilCache asserts a nil *Cache computes directly everywhere.
 func TestNilCache(t *testing.T) {
+	ctx := context.Background()
 	d := testRelation(t)
 	var c *Cache
 	if c.Relation() != nil {
@@ -83,18 +84,18 @@ func TestNilCache(t *testing.T) {
 	if s := c.Stats(); s != (Stats{}) {
 		t.Errorf("nil cache stats %+v, want zeros", s)
 	}
-	codes, k := c.Codes(d, "A", 4, "", nil)
+	codes, k, _ := c.CodesContext(ctx, d, "A", 4, "", nil)
 	wantCodes, wantK := CodesFor(d, "A", 4, nil)
 	if k != wantK || !reflect.DeepEqual(codes, wantCodes) {
 		t.Errorf("nil-cache Codes diverged from CodesFor")
 	}
-	if got, _ := c.do(context.Background(), "x", func() any { return 7 }); got != 7 {
+	if got, _ := c.do(context.Background(), "x", func() (any, error) { return 7, nil }); got != 7 {
 		t.Errorf("nil-cache do returned %v", got)
 	}
 	// Each call recomputes: no memoization without a cache.
 	n := 0
-	c.do(context.Background(), "x", func() any { n++; return nil })
-	c.do(context.Background(), "x", func() any { n++; return nil })
+	c.do(context.Background(), "x", func() (any, error) { n++; return nil, nil })
+	c.do(context.Background(), "x", func() (any, error) { n++; return nil, nil })
 	if n != 2 {
 		t.Errorf("nil cache memoized (%d computes, want 2)", n)
 	}
@@ -103,10 +104,14 @@ func TestNilCache(t *testing.T) {
 // TestCachedArtifactsMatchDirect asserts every cached artifact equals its
 // direct computation, for all rows and for a stratum subset.
 func TestCachedArtifactsMatchDirect(t *testing.T) {
+	ctx := context.Background()
 	d := testRelation(t)
 	c := New(d)
 
-	part := c.Partition(d, []string{"Z"})
+	part, err := c.PartitionContext(ctx, d, []string{"Z"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	direct := PartitionOf(d, []string{"Z"})
 	// The cached partition additionally carries version stamps; the
 	// structural content must match the direct computation exactly.
@@ -128,7 +133,7 @@ func TestCachedArtifactsMatchDirect(t *testing.T) {
 	}{
 		{"A", "", nil}, {"U", "", nil}, {"A", rowsKey, rows}, {"U", rowsKey, rows},
 	} {
-		codes, k := c.Codes(d, tc.col, 4, tc.rowsKey, tc.rows)
+		codes, k, _ := c.CodesContext(ctx, d, tc.col, 4, tc.rowsKey, tc.rows)
 		wantCodes, wantK := CodesFor(d, tc.col, 4, tc.rows)
 		// Categorical codings must normalize bins away; ask again with a
 		// different bin count and expect the same shared entry.
@@ -136,7 +141,7 @@ func TestCachedArtifactsMatchDirect(t *testing.T) {
 			t.Errorf("Codes(%s, %q) diverged", tc.col, tc.rowsKey)
 		}
 	}
-	table, kx, ky := c.Table(d, "A", "Z", 4, "", nil)
+	table, kx, ky, _ := c.TableContext(ctx, d, "A", "Z", 4, "", nil)
 	ac, akx := CodesFor(d, "A", 4, nil)
 	zc, zky := CodesFor(d, "Z", 4, nil)
 	wantTable := stats.TableFromCodes(ac, zc, akx, zky)
@@ -144,13 +149,13 @@ func TestCachedArtifactsMatchDirect(t *testing.T) {
 		t.Errorf("Table diverged from TableFromCodes")
 	}
 
-	floats := c.Floats(d, "V", rowsKey, rows)
+	floats, _ := c.FloatsContext(ctx, d, "V", rowsKey, rows)
 	want := FloatsFor(d, "V", rows)
 	if !reflect.DeepEqual(floats, want) {
 		t.Errorf("Floats diverged")
 	}
 
-	prep, err := c.KendallPrep(d, "U", "V", "", nil)
+	prep, err := c.KendallPrepContext(ctx, d, "U", "V", "", nil)
 	if err != nil || prep == nil {
 		t.Fatalf("KendallPrep: %v", err)
 	}
@@ -166,19 +171,20 @@ func TestCachedArtifactsMatchDirect(t *testing.T) {
 // TestCategoricalBinsShareEntry asserts the bins key normalization: a
 // categorical coding is bin-independent and must be memoized once.
 func TestCategoricalBinsShareEntry(t *testing.T) {
+	ctx := context.Background()
 	d := testRelation(t)
 	c := New(d)
-	c.Codes(d, "A", 4, "", nil)
+	c.CodesContext(ctx, d, "A", 4, "", nil)
 	before := c.Stats()
-	c.Codes(d, "A", 9, "", nil)
+	c.CodesContext(ctx, d, "A", 9, "", nil)
 	after := c.Stats()
 	if after.Entries != before.Entries || after.Hits != before.Hits+1 {
 		t.Errorf("bin counts split the categorical entry: %+v then %+v", before, after)
 	}
 	// A numeric column genuinely depends on bins and must not share.
-	c.Codes(d, "U", 4, "", nil)
+	c.CodesContext(ctx, d, "U", 4, "", nil)
 	mid := c.Stats()
-	c.Codes(d, "U", 9, "", nil)
+	c.CodesContext(ctx, d, "U", 9, "", nil)
 	final := c.Stats()
 	if final.Entries == mid.Entries {
 		t.Errorf("numeric codings with different bins shared an entry")
@@ -188,14 +194,15 @@ func TestCategoricalBinsShareEntry(t *testing.T) {
 // TestKendallPrepCachesErrors asserts deterministic validation errors are
 // memoized with the entry rather than recomputed or lost.
 func TestKendallPrepCachesErrors(t *testing.T) {
+	ctx := context.Background()
 	d := testRelation(t)
 	c := New(d)
 	rows := []int{0} // one observation: too small for tau
-	_, err1 := c.KendallPrep(d, "U", "V", "part\x00#tiny", rows)
+	_, err1 := c.KendallPrepContext(ctx, d, "U", "V", "part\x00#tiny", rows)
 	if err1 == nil {
 		t.Fatal("expected an error for a single observation")
 	}
-	_, err2 := c.KendallPrep(d, "U", "V", "part\x00#tiny", rows)
+	_, err2 := c.KendallPrepContext(ctx, d, "U", "V", "part\x00#tiny", rows)
 	if err2 == nil || err2.Error() != err1.Error() {
 		t.Fatalf("cached error diverged: %v vs %v", err2, err1)
 	}

@@ -39,6 +39,31 @@ type StreamSource struct {
 	Scan    func(ctx context.Context, fn func(*store.Segment) error) error
 }
 
+// StoreSource describes dataset name of st as a StreamSource: the schema and
+// row count come from its current manifest, and Scan reads its segments in
+// windows of at most windowRows rows (0 = whole segments).
+func StoreSource(st *store.Store, name string, windowRows int) (StreamSource, error) {
+	m, err := st.Manifest(name)
+	if err != nil {
+		return StreamSource{}, err
+	}
+	cols := make([]StreamColumn, len(m.Schema))
+	for i, c := range m.Schema {
+		kind := relation.Numeric
+		if c.Kind == store.ColKindCategorical {
+			kind = relation.Categorical
+		}
+		cols[i] = StreamColumn{Name: c.Name, Kind: kind}
+	}
+	return StreamSource{
+		Columns: cols,
+		Rows:    m.Rows,
+		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
+			return st.ScanChunks(ctx, name, windowRows, fn)
+		},
+	}, nil
+}
+
 // Streamer runs per-constraint statistic passes over a StreamSource. It
 // is stateless between runs and safe for sequential reuse.
 type Streamer struct {

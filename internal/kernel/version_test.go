@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestAllRowsKeyTracksVersion(t *testing.T) {
 func TestStratumVersionInheritance(t *testing.T) {
 	rel := versionedRel(t)
 	c1 := NewAt(rel, 1)
-	p1 := c1.Partition(rel, []string{"Z"})
+	p1 := mustPartition(t, c1, rel, []string{"Z"})
 	for g, v := range p1.GroupVersions {
 		if v != 1 {
 			t.Fatalf("initial group %q stamped version %d, want 1", g, v)
@@ -79,7 +80,7 @@ func TestStratumVersionInheritance(t *testing.T) {
 
 	grown := appendTo(t, rel, "b", 2)
 	c2 := c1.Advance(grown, 2)
-	p2 := c2.Partition(grown, []string{"Z"})
+	p2 := mustPartition(t, c2, grown, []string{"Z"})
 	for _, g := range []string{"a", "c"} {
 		if p2.GroupVersions[g] != 1 {
 			t.Errorf("untouched group %q re-stamped to %d; its cache entries went cold", g, p2.GroupVersions[g])
@@ -99,7 +100,7 @@ func TestStratumVersionInheritance(t *testing.T) {
 	// transitively through the version-2 partition.
 	grown3 := appendTo(t, grown, "c", 1)
 	c3 := c2.Advance(grown3, 3)
-	p3 := c3.Partition(grown3, []string{"Z"})
+	p3 := mustPartition(t, c3, grown3, []string{"Z"})
 	if p3.GroupVersions["a"] != 1 {
 		t.Errorf("group a after two unrelated appends = version %d, want 1", p3.GroupVersions["a"])
 	}
@@ -117,18 +118,18 @@ func TestStratumVersionInheritance(t *testing.T) {
 func TestWarmEntriesSurviveAppend(t *testing.T) {
 	rel := versionedRel(t)
 	c1 := NewAt(rel, 1)
-	p1 := c1.Partition(rel, []string{"Z"})
+	p1 := mustPartition(t, c1, rel, []string{"Z"})
 	for i, g := range p1.Keys {
-		c1.Table(rel, "X", "V", 4, p1.StratumRowsKey(g), p1.Groups[g])
+		c1.TableContext(context.Background(), rel, "X", "V", 4, p1.StratumRowsKey(g), p1.Groups[g])
 		_ = i
 	}
 	base := c1.Stats()
 
 	grown := appendTo(t, rel, "b", 2)
 	c2 := c1.Advance(grown, 2)
-	p2 := c2.Partition(grown, []string{"Z"})
+	p2 := mustPartition(t, c2, grown, []string{"Z"})
 	for _, g := range []string{"a", "c"} {
-		c2.Table(grown, "X", "V", 4, p2.StratumRowsKey(g), p2.Groups[g])
+		c2.TableContext(context.Background(), grown, "X", "V", 4, p2.StratumRowsKey(g), p2.Groups[g])
 	}
 	after := c2.Stats()
 	if hits := after.Hits - base.Hits; hits < 2 {
@@ -136,7 +137,7 @@ func TestWarmEntriesSurviveAppend(t *testing.T) {
 	}
 	// The grown stratum must NOT hit the old entry.
 	pre := c2.Stats()
-	c2.Table(grown, "X", "V", 4, p2.StratumRowsKey("b"), p2.Groups["b"])
+	c2.TableContext(context.Background(), grown, "X", "V", 4, p2.StratumRowsKey("b"), p2.Groups["b"])
 	post := c2.Stats()
 	if post.Misses-pre.Misses < 1 {
 		t.Error("grown stratum was served from the stale pre-append entry")
@@ -148,7 +149,7 @@ func TestWarmEntriesSurviveAppend(t *testing.T) {
 func TestAdvancePrunesIdleEntries(t *testing.T) {
 	rel := versionedRel(t)
 	c1 := NewAt(rel, 1)
-	c1.Floats(rel, "V", c1.AllRowsKey(), nil)
+	c1.FloatsContext(context.Background(), rel, "V", c1.AllRowsKey(), nil)
 	if n := c1.Stats().Entries; n == 0 {
 		t.Fatal("no entry created")
 	}
@@ -172,7 +173,7 @@ func TestAdvancePrunesIdleEntries(t *testing.T) {
 func TestStratumRowsKeyShape(t *testing.T) {
 	rel := versionedRel(t)
 	c := NewAt(rel, 7)
-	p := c.Partition(rel, []string{"Z"})
+	p := mustPartition(t, c, rel, []string{"Z"})
 	seen := map[string]bool{}
 	for _, g := range p.Keys {
 		key := p.StratumRowsKey(g)
@@ -184,4 +185,14 @@ func TestStratumRowsKeyShape(t *testing.T) {
 			t.Errorf("stratum key %q does not embed version 7", key)
 		}
 	}
+}
+
+// mustPartition is PartitionContext under a context that never ends.
+func mustPartition(t *testing.T, c *Cache, rel *relation.Relation, z []string) *Partition {
+	t.Helper()
+	p, err := c.PartitionContext(context.Background(), rel, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

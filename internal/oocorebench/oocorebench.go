@@ -22,7 +22,6 @@ import (
 	"scoded/internal/detect"
 	"scoded/internal/detectbench"
 	"scoded/internal/kernel"
-	"scoded/internal/relation"
 	"scoded/internal/store"
 )
 
@@ -106,22 +105,12 @@ func newStoredWorkload(seed int64, dir string) (*storedWorkload, *store.Manifest
 
 // streamer builds a kernel.Streamer over the stored dataset at the given
 // window granularity (0 = whole segments).
-func (sw *storedWorkload) streamer(m *store.Manifest, window int) (*kernel.Streamer, error) {
-	cols := make([]kernel.StreamColumn, len(m.Schema))
-	for i, c := range m.Schema {
-		kind := relation.Numeric
-		if c.Kind == store.ColKindCategorical {
-			kind = relation.Categorical
-		}
-		cols[i] = kernel.StreamColumn{Name: c.Name, Kind: kind}
+func (sw *storedWorkload) streamer(window int) (*kernel.Streamer, error) {
+	src, err := kernel.StoreSource(sw.st, "bench", window)
+	if err != nil {
+		return nil, err
 	}
-	return kernel.NewStreamer(kernel.StreamSource{
-		Columns: cols,
-		Rows:    m.Rows,
-		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
-			return sw.st.ScanChunks(ctx, "bench", window, fn)
-		},
-	})
+	return kernel.NewStreamer(src)
 }
 
 // checkStream runs the family through CheckAllStream, panicking on any
@@ -188,11 +177,11 @@ func Bench(seed int64, workers int) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	segStreamer, err := sw.streamer(m, 0)
+	segStreamer, err := sw.streamer(0)
 	if err != nil {
 		return Report{}, err
 	}
-	winStreamer, err := sw.streamer(m, windowRows)
+	winStreamer, err := sw.streamer(windowRows)
 	if err != nil {
 		return Report{}, err
 	}

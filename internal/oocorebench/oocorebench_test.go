@@ -20,7 +20,7 @@ func TestStreamedMatchesResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, window := range []int{0, windowRows, 613} {
-		str, err := sw.streamer(m, window)
+		str, err := sw.streamer(window)
 		if err != nil {
 			t.Fatalf("window %d: %v", window, err)
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
-	"scoded/internal/store"
 )
 
 // checkParams are the detection knobs shared by /v1/check and /v1/checkall.
@@ -197,13 +195,13 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 // optional BH-FDR control, fanned out over detect.CheckAll's worker pool.
 // An empty constraint_ids list means every registered constraint.
 //
-// The statistics source is chosen per request: a cold store-backed dataset
-// whose on-disk size exceeds the whole resident budget is checked by
-// detect.CheckAllStream — segment-streamed sufficient statistics, never
-// materializing the rows — when the requested method is stream-eligible;
-// everything else materializes (lazily) and runs the resident pool path.
-// The results are bit-identical either way. The optional "source" field
-// ("auto", "resident", "stream") overrides the choice.
+// The statistics source follows from what the server observes, never from
+// the request: a cold store-backed dataset whose on-disk size exceeds the
+// whole resident budget is checked by detect.CheckAllStream — segment-
+// streamed sufficient statistics, never materializing the rows — when the
+// requested method is stream-eligible; everything else materializes
+// (lazily) and runs the resident pool path. The results are bit-identical
+// either way.
 func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Dataset       string   `json:"dataset"`
@@ -211,7 +209,6 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 		Constraints   []string `json:"constraints,omitempty"`
 		FDR           float64  `json:"fdr,omitempty"`
 		Workers       int      `json:"workers,omitempty"`
-		Source        string   `json:"source,omitempty"`
 		checkParams
 	}
 	if err := decodeJSON(r, &req); err != nil {
@@ -273,12 +270,7 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	stream, err := s.chooseStream(req.Source, stored, resident, diskBytes, opts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if stream {
+	if stored && !resident && s.res.budget > 0 && diskBytes > s.res.budget && detect.StreamEligible(opts) {
 		s.checkAllStream(w, r, req.Dataset, family, opts, req.FDR)
 		return
 	}
@@ -305,54 +297,16 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 	writeCheckAllResults(w, r, results)
 }
 
-// chooseStream decides the checkall statistics source. Auto streams only
-// when it must: the dataset is cold and store-backed, its on-disk size
-// exceeds the whole resident budget (so materializing it would defeat the
-// budget), and the requested method has a streaming implementation.
-func (s *Server) chooseStream(source string, stored, resident bool, diskBytes int64, opts detect.Options) (bool, error) {
-	switch source {
-	case "resident":
-		return false, nil
-	case "stream":
-		if s.store == nil || !stored {
-			return false, fmt.Errorf("source \"stream\" needs a store-backed dataset")
-		}
-		if !detect.StreamEligible(opts) {
-			return false, fmt.Errorf("method %q is not stream-eligible (want auto, g-test or kendall without auto_exact)", opts.Method)
-		}
-		return true, nil
-	case "", "auto":
-		return stored && !resident && s.res.budget > 0 && diskBytes > s.res.budget &&
-			detect.StreamEligible(opts), nil
-	default:
-		return false, fmt.Errorf("unknown source %q (want auto, resident or stream)", source)
-	}
-}
-
 // checkAllStream runs the family through detect.CheckAllStream over store
 // segment chunks, bounded by Options.ScanWindowRows, without materializing
 // the dataset.
 func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name string, family []sc.Approximate, opts detect.Options, fdr float64) {
-	m, err := s.store.Manifest(name)
+	src, err := kernel.StoreSource(s.store, name, s.opts.ScanWindowRows)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reading manifest for %q: %v", name, err)
 		return
 	}
-	cols := make([]kernel.StreamColumn, len(m.Schema))
-	for i, c := range m.Schema {
-		kind := relation.Numeric
-		if c.Kind == store.ColKindCategorical {
-			kind = relation.Categorical
-		}
-		cols[i] = kernel.StreamColumn{Name: c.Name, Kind: kind}
-	}
-	streamer, err := kernel.NewStreamer(kernel.StreamSource{
-		Columns: cols,
-		Rows:    m.Rows,
-		Scan: func(ctx context.Context, fn func(*store.Segment) error) error {
-			return s.store.ScanChunks(ctx, name, s.opts.ScanWindowRows, fn)
-		},
-	})
+	streamer, err := kernel.NewStreamer(src)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -360,6 +314,7 @@ func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name str
 	results, err := detect.CheckAllStream(r.Context(), streamer, family, detect.BatchOptions{
 		Options: opts,
 		FDR:     fdr,
+		Hooks:   s.metrics.engineHooks("checkall"),
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)

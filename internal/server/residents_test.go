@@ -200,10 +200,12 @@ func TestEvictionUnderConcurrentCheckAll(t *testing.T) {
 					Checked int `json:"checked"`
 					Errored int `json:"errored"`
 				}
+				// Spearman is not stream-eligible, so every request
+				// materializes and eviction churns.
 				code := doJSON(t, h, "POST", "/v1/checkall", map[string]any{
 					"dataset":     name,
-					"constraints": []string{"Model _||_ Price @ 0.05", "Price _||_ Mileage | Model @ 0.05"},
-					"source":      "resident", // force materialization so eviction churns
+					"constraints": []string{"Price _||_ Mileage @ 0.05", "Price _||_ Mileage | Model @ 0.05"},
+					"method":      "spearman",
 				}, &out)
 				if code != http.StatusOK || out.Errored != 0 || out.Checked != 2 {
 					errs <- fmt.Sprintf("%s run %d: status %d, %+v", name, i, code, out)
@@ -267,10 +269,9 @@ func newDurableServerWithBudget(t *testing.T, dir string, budget int64) *Server 
 	return s
 }
 
-// TestCheckAllStreamedMatchesResident drives the source chooser through
-// the HTTP layer: under a tiny budget the auto path streams (no
-// materialization at all), and its response bytes equal the resident
-// path's.
+// TestCheckAllStreamedMatchesResident drives the path choice through the
+// HTTP layer: under a tiny budget checkall streams (no materialization at
+// all), and its response bytes equal the resident path's.
 func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newDurableServer(t, dir)
@@ -302,7 +303,7 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	cold := s2.datasets["cars"].rel == nil
 	s2.mu.RUnlock()
 	if !cold {
-		t.Fatal("auto source materialized a dataset larger than the whole budget")
+		t.Fatal("checkall materialized a dataset larger than the whole budget")
 	}
 	s2.res.mu.Lock()
 	misses := s2.res.misses
@@ -310,15 +311,9 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	if misses != 0 {
 		t.Fatalf("streamed checkall recorded %d materializations, want 0", misses)
 	}
-
-	// Forcing the source works both ways and stays byte-identical.
-	forced := []byte(`{"dataset":"cars","constraints":["Model _||_ Color @ 0.05","Price _||_ Mileage | Model @ 0.05","Model _||_ Price @ 0.05"],"fdr":0.1,"workers":1,"source":"stream"}`)
-	if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", forced); code != http.StatusOK || !bytes.Equal(body, wantBody) {
-		t.Fatalf("forced stream: status %d, body diff %v", code, !bytes.Equal(body, wantBody))
-	}
-	res := []byte(`{"dataset":"cars","constraints":["Model _||_ Color @ 0.05","Price _||_ Mileage | Model @ 0.05","Model _||_ Price @ 0.05"],"fdr":0.1,"workers":1,"source":"resident"}`)
-	if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", res); code != http.StatusOK || !bytes.Equal(body, wantBody) {
-		t.Fatalf("forced resident: status %d, body diff %v", code, !bytes.Equal(body, wantBody))
+	// Streamed constraints run under the same engine hooks as resident ones.
+	if _, body := doRaw(t, s2.Handler(), "GET", "/metrics", "", nil); !strings.Contains(string(body), `scoded_engine_items_total{stage="checkall"} 3`) {
+		t.Fatalf("streamed checkall missing from the engine metrics:\n%s", body)
 	}
 
 	// A non-stream-eligible method under the same budget falls back to
@@ -330,10 +325,17 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	if code := do(t, s2.Handler(), "POST", "/v1/checkall", "application/json", exact, &out); code != http.StatusOK {
 		t.Fatalf("pearson fallback status %d", code)
 	}
-	// And forcing stream with it is a client error.
-	bad := []byte(`{"dataset":"cars","constraints":["Model _||_ Price @ 0.05"],"method":"pearson","source":"stream"}`)
-	if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", bad); code != http.StatusBadRequest {
-		t.Fatalf("forced stream with pearson: status %d: %s", code, body)
+	s2.res.mu.Lock()
+	misses = s2.res.misses
+	s2.res.mu.Unlock()
+	if misses != 1 {
+		t.Fatalf("pearson checkall recorded %d materializations, want 1", misses)
+	}
+	// The path is not a request field: a body that still names a source is
+	// rejected as an unknown field.
+	forced := []byte(`{"dataset":"cars","constraints":["Model _||_ Price @ 0.05"],"source":"stream"}`)
+	if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", forced); code != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+		t.Fatalf("checkall with a source field: status %d: %s", code, body)
 	}
 }
 

@@ -28,6 +28,19 @@ make lint
 echo "== go test -race -shuffle=on =="
 go test -race -shuffle=on ./...
 
+# Gating: the benchmark module. bench/ is its own Go module, so the root
+# `go test ./...` above never builds it; vetting and testing it here makes
+# a change to an API the benchmark compiles against fail CI.
+echo "== bench module (vet, -race) =="
+(cd bench && go vet ./... && go test -race ./...)
+
+# Gating: cross-path detection identity. The fuzz target's committed seeds
+# run in the suite above; ten seconds of fuzzing explores new relations,
+# splits and window sizes on which resident, streamed, after-append and FDR
+# runs must agree bit for bit.
+echo "== cross-path detection fuzz =="
+go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
+
 # Gating: the drill-down delta-argmax identity properties under the race
 # detector. These are part of the suite above; the explicit run keeps the
 # fast path's row-for-row contract visible even if the full suite is ever
