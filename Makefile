@@ -26,10 +26,11 @@ fmt-check: ## fail if any file needs gofmt
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-bench: ## regenerate BENCH_detect.json, BENCH_drilldown.json and BENCH_stream.json
+bench: ## regenerate BENCH_detect.json, BENCH_drilldown.json, BENCH_stream.json and BENCH_oocore.json
 	$(GO) run ./cmd/scoded-bench -json -suite detect
 	$(GO) run ./cmd/scoded-bench -json -suite drilldown
 	$(GO) run ./cmd/scoded-bench -json -suite stream
+	$(GO) run ./cmd/scoded-bench -json -suite oocore
 
 bench-all: ## run every Go benchmark in the repo
 	$(GO) test -bench=. -benchmem ./...

@@ -71,8 +71,8 @@ func CheckAllContext(ctx context.Context, d *relation.Relation, as []sc.Approxim
 // checkAll runs check over the family on the engine pool, records
 // per-constraint failures in Err, and applies the FDR post-pass.
 func checkAll(ctx context.Context, src statSource, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
-	if opts.FDR < 0 || opts.FDR > 1 {
-		return nil, fmt.Errorf("detect: FDR level %v out of [0,1]", opts.FDR)
+	if err := checkFDR(opts.FDR); err != nil {
+		return nil, err
 	}
 	workers := opts.Workers
 	if opts.Rng != nil {
@@ -104,6 +104,14 @@ func checkAll(ctx context.Context, src statSource, as []sc.Approximate, opts Bat
 		return nil, err
 	}
 	return results, nil
+}
+
+// checkFDR rejects an FDR level outside [0, 1], the one family-level error.
+func checkFDR(fdr float64) error {
+	if fdr < 0 || fdr > 1 {
+		return fmt.Errorf("detect: FDR level %v out of [0,1]", fdr)
+	}
+	return nil
 }
 
 // applyFDR replaces the per-constraint alpha decisions in results with

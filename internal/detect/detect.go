@@ -180,9 +180,9 @@ func CheckContext(ctx context.Context, d *relation.Relation, a sc.Approximate, o
 // statSource is what Algorithm 1 reads from a dataset: column kinds, the
 // row count, and per-stratum statistics of one X/Y pair. residentSource
 // serves a materialized relation through the kernel cache; streamSource
-// (stream.go) folds store segments through a kernel.Streamer. check is the
-// one driver over both, so the paths differ only in where the statistics
-// come from, and the sources reproduce those bit for bit.
+// (stream.go) serves one kernel.Streamer fold of the store's segments. check
+// is the one driver over both, so the paths differ only in where the
+// statistics come from, and the sources reproduce those bit for bit.
 type statSource interface {
 	// columnKind reports a column's kind and whether the dataset has it.
 	columnKind(col string) (relation.Kind, bool)
@@ -207,25 +207,54 @@ type strata struct {
 // marginalKeys keys the single stratum of an unconditioned pair.
 var marginalKeys = []string{""}
 
-// check is Algorithm 1 over any statistics source: validation, the column
-// check, leaf decomposition and the set-level combination.
-func check(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
+// leafPlan is one single-X/Y leaf of a checked constraint and the method
+// it resolved to. A leaf whose method cannot serve its column kinds carries
+// the error instead, reported when the driver reaches that leaf.
+type leafPlan struct {
+	a      sc.Approximate
+	method Method
+	err    error
+}
+
+// plan is Algorithm 1's preparation over any statistics source: validation,
+// the column check, the source's option check, option defaults, leaf
+// decomposition and Auto resolution. check runs the plan it returns, and
+// CheckAllStream lists the family's pairs from the same plans before its
+// one scan, so the two can never disagree about which pairs a check reads.
+func plan(src statSource, a sc.Approximate, opts Options) (Options, []leafPlan, error) {
 	if err := a.Validate(); err != nil {
-		return Result{}, err
+		return opts, nil, err
 	}
 	for _, col := range a.SC.Columns() {
 		if _, ok := src.columnKind(col); !ok {
-			return Result{}, fmt.Errorf("detect: dataset lacks column %q required by %s", col, a.SC)
+			return opts, nil, fmt.Errorf("detect: dataset lacks column %q required by %s", col, a.SC)
 		}
 	}
 	if err := src.accepts(opts); err != nil {
-		return Result{}, err
+		return opts, nil, err
 	}
 	opts = opts.withDefaults()
-
 	leaves := a.SC.Decompose()
+	out := make([]leafPlan, len(leaves))
+	for i, leaf := range leaves {
+		x, y := leaf.X[0], leaf.Y[0]
+		kx, _ := src.columnKind(x)
+		ky, _ := src.columnKind(y)
+		method, err := resolveMethodKinds(x, y, kx, ky, opts.Method)
+		out[i] = leafPlan{a: sc.Approximate{SC: leaf, Alpha: a.Alpha}, method: method, err: err}
+	}
+	return opts, out, nil
+}
+
+// check is Algorithm 1 over any statistics source: it plans the constraint,
+// checks each leaf and combines a decomposed set constraint's leaves.
+func check(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
+	opts, leaves, err := plan(src, a, opts)
+	if err != nil {
+		return Result{}, err
+	}
 	if len(leaves) == 1 {
-		return checkSingle(ctx, src, sc.Approximate{SC: leaves[0], Alpha: a.Alpha}, opts)
+		return checkSingle(ctx, src, leaves[0], opts)
 	}
 
 	// Set-valued constraint: test every leaf, then combine.
@@ -234,9 +263,9 @@ func check(ctx context.Context, src statSource, a sc.Approximate, opts Options) 
 		if err := ctx.Err(); err != nil {
 			return Result{}, fmt.Errorf("detect: %w", err)
 		}
-		lr, err := checkSingle(ctx, src, sc.Approximate{SC: leaf, Alpha: a.Alpha}, opts)
+		lr, err := checkSingle(ctx, src, leaf, opts)
 		if err != nil {
-			return Result{}, fmt.Errorf("detect: leaf %s: %w", leaf, err)
+			return Result{}, fmt.Errorf("detect: leaf %s: %w", leaf.a.SC, err)
 		}
 		leafResults = append(leafResults, lr)
 	}
@@ -278,15 +307,12 @@ func combineLeaves(a sc.Approximate, leafResults []Result, rows int) (Result, er
 // checkSingle handles a constraint with single-variable X and Y, possibly
 // conditional: a marginal pair is one test; a conditional one stratifies on
 // Z, skips strata below MinStratumSize and combines the rest.
-func checkSingle(ctx context.Context, src statSource, a sc.Approximate, opts Options) (Result, error) {
-	x, y := a.SC.X[0], a.SC.Y[0]
-	kx, _ := src.columnKind(x)
-	ky, _ := src.columnKind(y)
-	method, err := resolveMethodKinds(x, y, kx, ky, opts.Method)
-	if err != nil {
-		return Result{}, err
+func checkSingle(ctx context.Context, src statSource, leaf leafPlan, opts Options) (Result, error) {
+	if leaf.err != nil {
+		return Result{}, leaf.err
 	}
-	st, err := src.stratify(ctx, a.SC.Z, x, y, method, opts)
+	a, method := leaf.a, leaf.method
+	st, err := src.stratify(ctx, a.SC.Z, a.SC.X[0], a.SC.Y[0], method, opts)
 	if err != nil {
 		return Result{}, err
 	}

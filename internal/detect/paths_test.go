@@ -83,6 +83,8 @@ func FuzzCheckAllPaths(f *testing.F) {
 	f.Add(int64(3), uint8(40), uint8(1), uint8(39), uint16(0x0f3), uint8(pathsTies))
 	f.Add(int64(4), uint8(120), uint8(5), uint8(1), uint16(0), uint8(pathsNaN0|pathsRare))
 	f.Add(int64(5), uint8(3), uint8(2), uint8(1), uint16(0x1ff), uint8(pathsTies|pathsRare|pathsNaN))
+	f.Add(int64(6), uint8(120), uint8(9), uint8(50), uint16(0x600), uint8(pathsTies))
+	f.Add(int64(7), uint8(100), uint8(3), uint8(20), uint16(0x602), uint8(pathsTies|pathsNaN0|pathsRare))
 	f.Fuzz(func(t *testing.T, seed int64, rows, window, split uint8, pick uint16, flags uint8) {
 		n := 2 + int(rows)%150
 		cut := 1 + int(split)%(n-1)

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -161,6 +162,8 @@ func streamFamily() []sc.Approximate {
 		{SC: sc.Dependence([]string{"N0"}, []string{"N1"}, nil), Alpha: 0.05},                        // DSC direction
 		parse("N0 _||_ N2 | Region @ 0.05"),                                                          // NaN-poisoned Kendall: errors
 		parse("C0 _||_ Nope @ 0.05"),                                                                 // missing column: errors
+		parse("C0 _||_ N1 | Region, C1 @ 0.05"),                                                      // two-column conditioning set
+		parse("C0 _||_ C1 | N0 @ 0.05"),                                                              // numeric conditioning column
 	}
 }
 
@@ -245,4 +248,165 @@ func TestCheckAllStreamCancellation(t *testing.T) {
 			t.Fatalf("result %d: Err %v, want context cancellation", i, r.Err)
 		}
 	}
+}
+
+// TestCheckAllStreamReadsOneManifest: a source answers on the manifest it
+// was built from. An append after StoreSource must not leak into the scan
+// (nor make it disagree with the row count the source declared).
+func TestCheckAllStreamReadsOneManifest(t *testing.T) {
+	rel := streamWorkload(t)
+	family := streamFamily()
+	n := rel.NumRows()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	st := openTestStore(t)
+	if _, err := st.Replace("w", rel.Subset(all[:n/2])); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	head, _, err := st.Load("w")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	src, err := kernel.StoreSource(st, "w", 7)
+	if err != nil {
+		t.Fatalf("StoreSource: %v", err)
+	}
+	if _, err := st.Append("w", rel.Subset(all[n/2:])); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	streamer, err := kernel.NewStreamer(src)
+	if err != nil {
+		t.Fatalf("NewStreamer: %v", err)
+	}
+	want, err := CheckAllContext(context.Background(), head, family, BatchOptions{Options: Options{Cache: kernel.New(head)}})
+	if err != nil {
+		t.Fatalf("CheckAllContext: %v", err)
+	}
+	got, err := CheckAllStream(context.Background(), streamer, family, BatchOptions{})
+	if err != nil {
+		t.Fatalf("CheckAllStream: %v", err)
+	}
+	for i := range want {
+		requireSameTest(t, fmt.Sprintf("constraint %d (%s)", i, family[i].SC), got[i], want[i])
+	}
+}
+
+// wrapScan returns a Streamer over src whose Scan runs through wrap.
+func wrapScan(t *testing.T, src kernel.StreamSource, wrap func(ctx context.Context, fn func(*store.Segment) error) error) *kernel.Streamer {
+	t.Helper()
+	src.Scan = wrap
+	streamer, err := kernel.NewStreamer(src)
+	if err != nil {
+		t.Fatalf("NewStreamer: %v", err)
+	}
+	return streamer
+}
+
+// storeSource persists rel as three segments and describes it as a
+// StreamSource read in windows of windowRows.
+func storeSource(t *testing.T, rel *relation.Relation, windowRows int) kernel.StreamSource {
+	t.Helper()
+	st := openTestStore(t)
+	n := rel.NumRows()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	if _, err := st.Replace("w", rel.Subset(all[:n/3])); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	for _, part := range [][]int{all[n/3 : 2*n/3], all[2*n/3:]} {
+		if _, err := st.Append("w", rel.Subset(part)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	src, err := kernel.StoreSource(st, "w", windowRows)
+	if err != nil {
+		t.Fatalf("StoreSource: %v", err)
+	}
+	return src
+}
+
+// TestCheckAllStreamScansOnce: the whole family, every conditioning list
+// and method included, is folded from a single scan.
+func TestCheckAllStreamScansOnce(t *testing.T) {
+	src := storeSource(t, streamWorkload(t), 13)
+	scans := 0
+	streamer := wrapScan(t, src, func(ctx context.Context, fn func(*store.Segment) error) error {
+		scans++
+		return src.Scan(ctx, fn)
+	})
+	if _, err := CheckAllStream(context.Background(), streamer, streamFamily(), BatchOptions{}); err != nil {
+		t.Fatalf("CheckAllStream: %v", err)
+	}
+	if scans != 1 {
+		t.Fatalf("CheckAllStream made %d scans, want 1", scans)
+	}
+}
+
+// TestCheckAllStreamScanError: a scan that fails part-way fails every
+// constraint it served with its error, while a constraint that never
+// reached the scan keeps its own.
+func TestCheckAllStreamScanError(t *testing.T) {
+	src := storeSource(t, streamWorkload(t), 0)
+	boom := errors.New("segment read failed")
+	streamer := wrapScan(t, src, func(ctx context.Context, fn func(*store.Segment) error) error {
+		chunks := 0
+		return src.Scan(ctx, func(seg *store.Segment) error {
+			if chunks++; chunks == 2 {
+				return boom
+			}
+			return fn(seg)
+		})
+	})
+	family := streamFamily()
+	got, err := CheckAllStream(context.Background(), streamer, family, BatchOptions{})
+	if err != nil {
+		t.Fatalf("CheckAllStream: %v", err)
+	}
+	for i, r := range got {
+		if family[i].SC.String() == sc.MustParse("C0 _||_ Nope").String() {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), `lacks column "Nope"`) {
+				t.Fatalf("constraint %d (%s): Err %v, want its missing-column error", i, family[i].SC, r.Err)
+			}
+			continue
+		}
+		if !errors.Is(r.Err, boom) {
+			t.Fatalf("constraint %d (%s): Err %v, want the scan error", i, family[i].SC, r.Err)
+		}
+	}
+}
+
+// TestCheckAllStreamAllocsFlat guards the fold against per-row allocation:
+// a hundredfold larger dataset may cost only a few more allocations (the
+// logarithmic growth of the per-stratum buffers), not more per row.
+func TestCheckAllStreamAllocsFlat(t *testing.T) {
+	family := streamFamily()[:2]
+	allocs := func(n int) float64 {
+		st := openTestStore(t)
+		if _, err := st.Replace("w", pathsRelation(1, n, 0)); err != nil {
+			t.Fatalf("Replace: %v", err)
+		}
+		src, err := kernel.StoreSource(st, "w", 0)
+		if err != nil {
+			t.Fatalf("StoreSource: %v", err)
+		}
+		streamer, err := kernel.NewStreamer(src)
+		if err != nil {
+			t.Fatalf("NewStreamer: %v", err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			res, err := CheckAllStream(context.Background(), streamer, family, BatchOptions{})
+			if err != nil || res[0].Err != nil || res[1].Err != nil {
+				t.Fatalf("CheckAllStream: %v %v", err, res)
+			}
+		})
+	}
+	small, large := allocs(200), allocs(20000)
+	if large >= 1.5*small {
+		t.Fatalf("CheckAllStream allocates %.0f times at 20000 rows and %.0f at 200: growth %.1fx, want under 1.5x", large, small, large/small)
+	}
+	t.Logf("allocations: %.0f at 200 rows, %.0f at 20000 rows", small, large)
 }

@@ -24,6 +24,6 @@ func TestStreamedMatchesResident(t *testing.T) {
 		if err != nil {
 			t.Fatalf("window %d: %v", window, err)
 		}
-		assertIdentical(resident, sw.checkStream(str))
+		assertIdentical(resident, sw.checkStream(str, 2))
 	}
 }

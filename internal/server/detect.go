@@ -270,8 +270,18 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	workers := req.Workers
+	if workers <= 0 {
+		workers = s.opts.Workers
+	}
+	batch := detect.BatchOptions{
+		Options: opts,
+		FDR:     req.FDR,
+		Workers: workers,
+		Hooks:   s.metrics.engineHooks("checkall"),
+	}
 	if stored && !resident && s.res.budget > 0 && diskBytes > s.res.budget && detect.StreamEligible(opts) {
-		s.checkAllStream(w, r, req.Dataset, family, opts, req.FDR)
+		s.checkAllStream(w, r, req.Dataset, family, batch)
 		return
 	}
 	rel, cache, release, ok := s.acquireForRequest(w, r, req.Dataset)
@@ -279,17 +289,8 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	opts.Cache = cache
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
-	}
-	results, err := detect.CheckAllContext(r.Context(), rel, family, detect.BatchOptions{
-		Options: opts,
-		FDR:     req.FDR,
-		Workers: workers,
-		Hooks:   s.metrics.engineHooks("checkall"),
-	})
+	batch.Cache = cache
+	results, err := detect.CheckAllContext(r.Context(), rel, family, batch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -299,8 +300,10 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 
 // checkAllStream runs the family through detect.CheckAllStream over store
 // segment chunks, bounded by Options.ScanWindowRows, without materializing
-// the dataset.
-func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name string, family []sc.Approximate, opts detect.Options, fdr float64) {
+// the dataset. The family is one scan of the manifest read here, so an
+// append racing the request cannot split it, and then runs on the same
+// pool, FDR pass and hooks as the resident family.
+func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name string, family []sc.Approximate, batch detect.BatchOptions) {
 	src, err := kernel.StoreSource(s.store, name, s.opts.ScanWindowRows)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "reading manifest for %q: %v", name, err)
@@ -311,11 +314,7 @@ func (s *Server) checkAllStream(w http.ResponseWriter, r *http.Request, name str
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	results, err := detect.CheckAllStream(r.Context(), streamer, family, detect.BatchOptions{
-		Options: opts,
-		FDR:     fdr,
-		Hooks:   s.metrics.engineHooks("checkall"),
-	})
+	results, err := detect.CheckAllStream(r.Context(), streamer, family, batch)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

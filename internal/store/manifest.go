@@ -31,6 +31,11 @@ type SegmentInfo struct {
 	Rows int `json:"rows"`
 	// Bytes is the segment file's size, CRC trailer included.
 	Bytes int64 `json:"bytes"`
+	// CRC is the segment's CRC-32 trailer. A windowed scan compares it with
+	// the file it opens, so a file written later under the same name (the
+	// dataset dropped and uploaded again) is never read as this segment.
+	// Manifests written before it was recorded leave it zero, unchecked.
+	CRC uint32 `json:"crc,omitempty"`
 }
 
 // MonitorDef is a streaming monitor's durable definition: everything

@@ -24,6 +24,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/url"
@@ -246,7 +247,8 @@ func writeSegment(dir, file string, rel *relation.Relation, lo, hi int) (Segment
 	if err := writeFileAtomic(dir, file, data); err != nil {
 		return SegmentInfo{}, err
 	}
-	return SegmentInfo{File: file, Rows: hi - lo, Bytes: int64(len(data))}, nil
+	crc := binary.LittleEndian.Uint32(data[len(data)-4:])
+	return SegmentInfo{File: file, Rows: hi - lo, Bytes: int64(len(data)), CRC: crc}, nil
 }
 
 // Replace durably (re)creates a dataset from a full relation. If the

@@ -426,7 +426,7 @@ func TestManifestGolden(t *testing.T) {
 		},
 		Segments: []SegmentInfo{
 			{File: "seg-0000000000000001.bin", Rows: 6, Bytes: 123},
-			{File: "seg-0000000000000003.bin", Rows: 2, Bytes: 77},
+			{File: "seg-0000000000000003.bin", Rows: 2, Bytes: 77, CRC: 0x5eed0003},
 		},
 		Monitors: []MonitorDef{
 			{ID: 2, Kind: "numeric", Alpha: 0.05, Dependence: true, Window: 64, Dataset: "weather", Observed: 48},

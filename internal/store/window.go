@@ -3,9 +3,11 @@ package store
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -37,7 +39,9 @@ type windowColumn struct {
 type SegmentReader struct {
 	f    *os.File
 	rows int
+	crc  uint32 // the file's verified CRC-32
 	cols []windowColumn
+	buf  []byte // raw bytes of the last window's column block, reused
 }
 
 // OpenSegment opens path, verifies the whole-file checksum, and parses the
@@ -64,7 +68,8 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 	if size < int64(len(segmentMagic)+2+4+4+4) {
 		return nil, fmt.Errorf("store: segment too short (%d bytes)", size)
 	}
-	if err := verifySegmentCRC(f, size); err != nil {
+	crc, err := verifySegmentCRC(f, size)
+	if err != nil {
 		return nil, err
 	}
 
@@ -94,7 +99,7 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 	if int64(ncols)*3 > cur.remaining() {
 		return nil, fmt.Errorf("store: segment declares %d columns in %d bytes", ncols, cur.remaining())
 	}
-	sr := &SegmentReader{f: f, rows: int(nrows), cols: make([]windowColumn, 0, ncols)}
+	sr := &SegmentReader{f: f, rows: int(nrows), crc: crc, cols: make([]windowColumn, 0, ncols)}
 	for ci := uint32(0); ci < ncols; ci++ {
 		nameLen, err := cur.u16()
 		if err != nil {
@@ -151,26 +156,26 @@ func newSegmentReader(f *os.File) (*SegmentReader, error) {
 	return sr, nil
 }
 
-// verifySegmentCRC streams the file once through the IEEE CRC-32 and
-// compares it against the 4-byte trailer. One sequential pass at open
-// preserves decodeSegment's corruption guarantee without holding the file
-// in memory.
-func verifySegmentCRC(f *os.File, size int64) error {
+// verifySegmentCRC streams the file once through the IEEE CRC-32,
+// compares it against the 4-byte trailer and returns it. One sequential
+// pass at open preserves decodeSegment's corruption guarantee without
+// holding the file in memory.
+func verifySegmentCRC(f *os.File, size int64) (uint32, error) {
 	h := crc32.NewIEEE()
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
+		return 0, err
 	}
 	if _, err := io.CopyBuffer(h, io.LimitReader(f, size-4), make([]byte, crcChunkSize)); err != nil {
-		return err
+		return 0, err
 	}
 	var trailer [4]byte
 	if _, err := f.ReadAt(trailer[:], size-4); err != nil {
-		return err
+		return 0, err
 	}
 	if got, want := binary.LittleEndian.Uint32(trailer[:]), h.Sum32(); got != want {
-		return fmt.Errorf("store: segment checksum mismatch (got %08x, want %08x)", got, want)
+		return 0, fmt.Errorf("store: segment checksum mismatch (got %08x, want %08x)", got, want)
 	}
-	return nil
+	return h.Sum32(), nil
 }
 
 // Rows is the segment's record count.
@@ -179,45 +184,70 @@ func (r *SegmentReader) Rows() int { return r.rows }
 // Close releases the underlying file.
 func (r *SegmentReader) Close() error { return r.f.Close() }
 
-// ReadWindow decodes rows [lo, hi) into a Segment. Dictionaries are shared
-// (read-only) between windows of the same reader; code and float slices
-// are freshly allocated per call, sized to the window.
+// ReadWindow decodes rows [lo, hi) into a fresh Segment. Dictionaries are
+// shared (read-only) between windows of the same reader; code and float
+// slices are allocated per call, sized to the window, so the caller may
+// keep them.
 func (r *SegmentReader) ReadWindow(lo, hi int) (*Segment, error) {
+	seg := &Segment{}
+	if err := r.readWindowInto(lo, hi, seg); err != nil {
+		return nil, err
+	}
+	return seg, nil
+}
+
+// readWindowInto decodes rows [lo, hi) into seg, reusing the Codes and
+// Floats slabs seg holds from a previous window whenever they are large
+// enough, along with the reader's byte buffer. A scan that decodes every
+// window into one Segment therefore allocates per column, not per window.
+func (r *SegmentReader) readWindowInto(lo, hi int, seg *Segment) error {
 	if lo < 0 || hi > r.rows || lo > hi {
-		return nil, fmt.Errorf("store: window [%d,%d) out of segment rows [0,%d)", lo, hi, r.rows)
+		return fmt.Errorf("store: window [%d,%d) out of segment rows [0,%d)", lo, hi, r.rows)
 	}
 	n := hi - lo
-	seg := &Segment{Rows: n, Cols: make([]SegmentColumn, 0, len(r.cols))}
-	var buf []byte
-	for _, c := range r.cols {
+	if cap(seg.Cols) < len(r.cols) {
+		seg.Cols = make([]SegmentColumn, len(r.cols))
+	}
+	seg.Rows, seg.Cols = n, seg.Cols[:len(r.cols)]
+	for ci, c := range r.cols {
 		need := int(int64(n) * c.width)
-		if cap(buf) < need {
-			buf = make([]byte, need)
+		if cap(r.buf) < need {
+			r.buf = make([]byte, need)
 		}
-		b := buf[:need]
+		b := r.buf[:need]
 		if _, err := r.f.ReadAt(b, c.off+int64(lo)*c.width); err != nil {
-			return nil, fmt.Errorf("store: column %q window read: %w", c.name, err)
+			return fmt.Errorf("store: column %q window read: %w", c.name, err)
 		}
-		col := SegmentColumn{Name: c.name, Kind: c.kind}
+		col := &seg.Cols[ci]
+		col.Name, col.Kind = c.name, c.kind
 		if c.kind == ColKindCategorical {
-			col.Dict = c.dict
-			col.Codes = make([]uint32, n)
+			col.Dict, col.Floats = c.dict, col.Floats[:0]
+			col.Codes = growSlab(col.Codes, n)
 			for i := range col.Codes {
 				code := binary.LittleEndian.Uint32(b[i*4:])
 				if code >= uint32(len(c.dict)) {
-					return nil, fmt.Errorf("store: column %q code %d out of dictionary range %d", c.name, code, len(c.dict))
+					return fmt.Errorf("store: column %q code %d out of dictionary range %d", c.name, code, len(c.dict))
 				}
 				col.Codes[i] = code
 			}
 		} else {
-			col.Floats = make([]float64, n)
+			col.Dict, col.Codes = nil, col.Codes[:0]
+			col.Floats = growSlab(col.Floats, n)
 			for i := range col.Floats {
 				col.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 			}
 		}
-		seg.Cols = append(seg.Cols, col)
 	}
-	return seg, nil
+	return nil
+}
+
+// growSlab returns s resized to n, reallocating only when its capacity is
+// short.
+func growSlab[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // fileCursor is a bounds-checked sequential reader over the body of a
@@ -276,6 +306,10 @@ func (c *fileCursor) u32() (uint32, error) {
 // unchanged; unlike Scan, at most maxRows rows of column data are resident
 // at a time even when one segment is oversized. maxRows <= 0 means one
 // window per segment. The context is checked between windows.
+//
+// Every window is decoded into the slabs of the one before it, so fn must
+// not retain the Segment or its Codes and Floats slices after it returns;
+// it copies what it keeps. Dictionaries are never overwritten.
 func (s *Store) ScanChunks(ctx context.Context, name string, maxRows int, fn func(*Segment) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -284,8 +318,25 @@ func (s *Store) ScanChunks(ctx context.Context, name string, maxRows int, fn fun
 	if err != nil {
 		return err
 	}
+	return scanManifestChunks(ctx, dir, m, maxRows, fn)
+}
+
+// ScanManifest is ScanChunks over exactly the segments m lists, whatever
+// the dataset's current manifest says: a reader that recorded a manifest
+// sees that snapshot's rows, even after later appends. Segments are
+// immutable and appends only add files, so the snapshot stays readable
+// until a replace or compaction deletes one of its segments; the scan then
+// fails with an error naming the missing segment.
+func (s *Store) ScanManifest(ctx context.Context, m *Manifest, maxRows int, fn func(*Segment) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return scanManifestChunks(ctx, filepath.Join(s.dir, datasetDir(m.Name)), m, maxRows, fn)
+}
+
+func scanManifestChunks(ctx context.Context, dir string, m *Manifest, maxRows int, fn func(*Segment) error) error {
+	var seg Segment // decode slabs shared by every window of the scan
 	for _, si := range m.Segments {
-		if err := scanSegmentChunks(ctx, filepath.Join(dir, si.File), si, maxRows, fn); err != nil {
+		if err := scanSegmentChunks(ctx, filepath.Join(dir, si.File), si, maxRows, &seg, fn); err != nil {
 			return err
 		}
 	}
@@ -295,12 +346,18 @@ func (s *Store) ScanChunks(ctx context.Context, name string, maxRows int, fn fun
 // scanSegmentChunks opens one segment and feeds its windows to fn. Split
 // out of ScanChunks so the reader's Close is a straight defer rather than
 // a defer in a loop.
-func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows int, fn func(*Segment) error) error {
+func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows int, seg *Segment, fn func(*Segment) error) error {
 	r, err := OpenSegment(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: segment %s is gone: the dataset was replaced, compacted or dropped after its manifest was read", si.File)
+	}
 	if err != nil {
 		return fmt.Errorf("store: segment %s: %w", si.File, err)
 	}
 	defer r.Close()
+	if si.CRC != 0 && r.crc != si.CRC {
+		return fmt.Errorf("store: segment %s was rewritten: the dataset was dropped and uploaded again after its manifest was read", si.File)
+	}
 	if r.Rows() != si.Rows {
 		return fmt.Errorf("store: segment %s holds %d rows, manifest says %d", si.File, r.Rows(), si.Rows)
 	}
@@ -316,8 +373,7 @@ func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows
 		if hi > r.Rows() {
 			hi = r.Rows()
 		}
-		seg, err := r.ReadWindow(lo, hi)
-		if err != nil {
+		if err := r.readWindowInto(lo, hi, seg); err != nil {
 			return fmt.Errorf("store: segment %s: %w", si.File, err)
 		}
 		if err := fn(seg); err != nil {
@@ -331,8 +387,7 @@ func scanSegmentChunks(ctx context.Context, path string, si SegmentInfo, maxRows
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		seg, err := r.ReadWindow(0, 0)
-		if err != nil {
+		if err := r.readWindowInto(0, 0, seg); err != nil {
 			return fmt.Errorf("store: segment %s: %w", si.File, err)
 		}
 		return fn(seg)

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"scoded/internal/relation"
 )
 
 // flattenSegment renders a segment's rows as strings so differently
@@ -165,5 +167,89 @@ func TestReadWindowBounds(t *testing.T) {
 		if gotRows[i] != wantRows[i] {
 			t.Fatalf("row %d: %q want %q", i, gotRows[i], wantRows[i])
 		}
+	}
+}
+
+// TestScanManifestPinsSnapshot: a scan of a recorded manifest reads that
+// snapshot's rows after later appends, and fails cleanly once a replace
+// has deleted its segments, or once a drop and a new upload have written
+// other rows under the recorded segment's name.
+func TestScanManifestPinsSnapshot(t *testing.T) {
+	s := openStore(t, t.TempDir())
+	m, err := s.Replace("weather", testRel(t))
+	if err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	if _, err := s.Append("weather", testBatch(t)); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	rows := 0
+	count := func(seg *Segment) error {
+		rows += seg.Rows
+		return nil
+	}
+	if err := s.ScanManifest(context.Background(), m, 4, count); err != nil {
+		t.Fatalf("ScanManifest: %v", err)
+	}
+	if rows != m.Rows {
+		t.Fatalf("ScanManifest read %d rows, want the snapshot's %d", rows, m.Rows)
+	}
+	if _, err := s.Replace("weather", testBatch(t)); err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	err = s.ScanManifest(context.Background(), m, 4, count)
+	if err == nil || !strings.Contains(err.Error(), "is gone") {
+		t.Fatalf("ScanManifest after a replace: %v, want a missing-segment error", err)
+	}
+	if err := s.Drop("weather"); err != nil {
+		t.Fatalf("Drop: %v", err)
+	}
+	other := relation.MustNew(
+		relation.NewCategoricalColumn("City", []string{"Kyiv", "Lima", "Kyiv", "Pune", "Lima", "Oslo"}),
+		relation.NewNumericColumn("Temp", []float64{-3, 18, 2, 30, 17, 1}),
+	)
+	again, err := s.Replace("weather", other)
+	if err != nil {
+		t.Fatalf("Replace: %v", err)
+	}
+	if again.Segments[0].File != m.Segments[0].File || again.Rows != m.Segments[0].Rows {
+		t.Fatalf("the new upload wrote %s with %d rows; the case needs %s with %d", again.Segments[0].File, again.Rows, m.Segments[0].File, m.Segments[0].Rows)
+	}
+	rows = 0
+	err = s.ScanManifest(context.Background(), m, 4, count)
+	if err == nil || !strings.Contains(err.Error(), "was rewritten") {
+		t.Fatalf("ScanManifest after a drop and upload: %v (%d rows read), want a rewritten-segment error", err, rows)
+	}
+}
+
+// TestScanChunksReusesWindowSlabs: windows decode into the slabs of the
+// window before them, so a scan allocates the same however many windows
+// its segment splits into.
+func TestScanChunksReusesWindowSlabs(t *testing.T) {
+	allocs := func(n int) float64 {
+		s := openStore(t, t.TempDir())
+		cities := make([]string, n)
+		temps := make([]float64, n)
+		for i := range cities {
+			cities[i] = []string{"Oslo", "Lima", "Pune"}[i%3]
+			temps[i] = float64(i)
+		}
+		rel := relation.MustNew(
+			relation.NewCategoricalColumn("City", cities),
+			relation.NewNumericColumn("Temp", temps),
+		)
+		if _, err := s.Replace("weather", rel); err != nil {
+			t.Fatalf("Replace: %v", err)
+		}
+		// Many runs, so a stray runtime allocation (a finalizer, a GC
+		// cycle) rounds away in the integer average.
+		return testing.AllocsPerRun(50, func() {
+			if err := s.ScanChunks(context.Background(), "weather", 64, func(*Segment) error { return nil }); err != nil {
+				t.Fatalf("ScanChunks: %v", err)
+			}
+		})
+	}
+	if few, many := allocs(64*10), allocs(64*100); few != many {
+		t.Fatalf("ScanChunks allocates %.0f times over 10 windows and %.0f over 100", few, many)
 	}
 }

@@ -37,8 +37,12 @@ echo "== bench module (vet, -race) =="
 # Gating: cross-path detection identity. The fuzz target's committed seeds
 # run in the suite above; ten seconds of fuzzing explores new relations,
 # splits and window sizes on which resident, streamed, after-append and FDR
-# runs must agree bit for bit.
-echo "== cross-path detection fuzz =="
+# runs must agree bit for bit. The explicit run first pins the streamed
+# family's shape: one scan per checkall, one manifest snapshot, allocations
+# that do not grow with the row count, and columns buffered once per fold.
+echo "== cross-path detection identity and fuzz =="
+go test -run 'CheckAllStream|Fold|ScanManifest|ReusesWindowSlabs' \
+	./internal/detect/ ./internal/kernel/ ./internal/store/
 go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
 
 # Gating: the drill-down delta-argmax identity properties under the race
