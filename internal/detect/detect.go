@@ -95,7 +95,7 @@ type Options struct {
 	Rng *rand.Rand
 	// Cache, when non-nil, is a kernel.Cache bound to the dataset being
 	// checked: column codings, conditioning partitions, contingency tables
-	// and Kendall precomputations are read through (and memoized in) it, so
+	// and Kendall results are read through (and memoized in) it, so
 	// constraints sharing attributes or conditioning sets share one
 	// computation. Results are bit-identical with or without a cache. The
 	// cache must have been created on the same relation; Check rejects a
@@ -494,7 +494,7 @@ func displayKey(k string) string {
 // testPair runs the chosen statistic on one X/Y pair over the given rows
 // (nil rows with rowsKey "" means the whole relation; stratum row sets carry
 // their partition-derived rowsKey). All data preparation — codings, tables,
-// float extraction, Kendall prep — goes through opts.Cache, which computes
+// float extraction, Kendall's tau — goes through opts.Cache, which computes
 // directly when nil. With AutoExact set, a result flagged Approximate is
 // recomputed by the matching permutation test.
 func testPair(ctx context.Context, d *relation.Relation, x, y string, method Method, opts Options, rows []int, rowsKey string) (stats.TestResult, error) {
@@ -530,6 +530,16 @@ func testPair(ctx context.Context, d *relation.Relation, x, y string, method Met
 		}
 		return res, err
 	case Kendall, ExactKendall, Pearson, Spearman:
+		if method == Kendall {
+			k, err := cache.KendallPrepContext(ctx, d, x, y, rowsKey, rows)
+			if err != nil {
+				return stats.TestResult{}, err
+			}
+			if res := k.Test(); !opts.AutoExact || !res.Approximate {
+				return res, nil
+			}
+			// AutoExact: re-run as the permutation test, below.
+		}
 		xv, err := cache.FloatsContext(ctx, d, x, rowsKey, rows)
 		if err != nil {
 			return stats.TestResult{}, err
@@ -539,17 +549,7 @@ func testPair(ctx context.Context, d *relation.Relation, x, y string, method Met
 			return stats.TestResult{}, err
 		}
 		switch method {
-		case Kendall:
-			prep, err := cache.KendallPrepContext(ctx, d, x, y, rowsKey, rows)
-			if err != nil {
-				return stats.TestResult{}, err
-			}
-			res, err := stats.KendallTestPrepped(xv, yv, prep)
-			if err == nil && opts.AutoExact && res.Approximate {
-				return stats.PermutationKendallTest(xv, yv, opts.PermIters, opts.Rng)
-			}
-			return res, err
-		case ExactKendall:
+		case Kendall, ExactKendall:
 			return stats.PermutationKendallTest(xv, yv, opts.PermIters, opts.Rng)
 		case Pearson:
 			return stats.PearsonTest(xv, yv)

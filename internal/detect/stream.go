@@ -20,9 +20,9 @@ import (
 // the columns the other pairs read are buffered once, shared by every pair
 // and conditioning list that reads them. Results are bit-identical to
 // CheckAllContext for every supported method: the fold reproduces the
-// exact integers, coding order, and float arithmetic of the resident
-// kernels (pinned by TestCheckAllStreamIdentity, FuzzCheckAllPaths and the
-// stats partial property tests).
+// resident stratum's table, or its X and Y values in row order, and the
+// test runs the same stats kernel on them (pinned by
+// TestCheckAllStreamIdentity and FuzzCheckAllPaths).
 //
 // The streamed source is deliberately narrower than the resident one. The
 // permutation tests (ExactG, ExactKendall, and the AutoExact fallback)
@@ -55,7 +55,7 @@ func StreamEligible(opts Options) bool {
 // plans every constraint exactly as check does, lists the distinct
 // stratified pairs the plans read, and folds them all in a single
 // kernel.Streamer pass. The constraints then run on the engine pool like
-// the resident family's, each stratum's table or Kendall partial built
+// the resident family's, each stratum's table or Kendall vectors built
 // inside its test and dropped after it. If the scan fails, every
 // constraint it served reports the scan's error; constraints that failed
 // their own planning (a missing column, say) keep that error. When ctx
@@ -132,7 +132,7 @@ func (s *streamSource) stratify(_ context.Context, z []string, x, y string, meth
 		size: func(i int) int { return s.fold.Size(p, i) },
 		test: func(_ context.Context, i int) (stats.TestResult, error) {
 			if method == Kendall {
-				return s.fold.Kendall(p, i).Test()
+				return stats.KendallTest(s.fold.Kendall(p, i))
 			}
 			return stats.GTest(s.fold.Table(p, i))
 		},

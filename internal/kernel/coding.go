@@ -177,7 +177,7 @@ func PartitionOf(d *relation.Relation, z []string) *Partition {
 
 // StratumRowsKey returns the canonical rows-subset identifier of one group
 // of the partition, for use as the rowsKey of Codes / Floats / Table /
-// KendallPrep calls scoped to that stratum. The key embeds the group's
+// Kendall calls scoped to that stratum. The key embeds the group's
 // inherited version, so after an append only the strata whose rows grew
 // address new cache entries; everything else stays warm.
 func (p *Partition) StratumRowsKey(groupKey string) string {

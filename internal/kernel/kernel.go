@@ -2,10 +2,10 @@
 // SCODED's detection hot path (DESIGN.md §9). Checking a family of
 // statistical constraints against one dataset keeps recomputing the same
 // intermediate artifacts — dense column codings, group-by partitions on
-// conditioning sets Z, contingency tables, and the sort/tie precomputation
-// of Kendall's tau — once per constraint, even when many constraints share
-// attributes or conditioning sets (the paper's §4.2–4.3 cost structure). A
-// Cache memoizes those artifacts per dataset so they are computed once and
+// conditioning sets Z, contingency tables, and Kendall's tau itself — once
+// per constraint, even when many constraints share attributes or
+// conditioning sets (the paper's §4.2–4.3 cost structure). A Cache
+// memoizes those artifacts per dataset so they are computed once and
 // shared.
 //
 // Correctness contract: every cached artifact is produced by exactly the
@@ -155,10 +155,9 @@ func (c *Cache) Version() uint64 {
 
 // AllRowsKey returns the canonical rowsKey for the whole relation at this
 // view's version. Passing it (with nil rows) to the Codes / Floats / Table
-// / KendallPrep lookups scopes the entry to this version, so an append —
-// which does change the all-rows subset — naturally misses onto fresh
-// entries. A nil
-// cache returns "" (the key is never used on the uncached path).
+// / Kendall lookups scopes the entry to this version, so an append — which
+// does change the all-rows subset — naturally misses onto fresh entries. A
+// nil cache returns "" (the key is never used on the uncached path).
 func (c *Cache) AllRowsKey() string {
 	if c == nil {
 		return ""
@@ -313,8 +312,8 @@ type tableVal struct {
 	kx, ky int
 }
 
-type prepVal struct {
-	p   *stats.KendallPrep
+type tauVal struct {
+	k   stats.KendallResult
 	err error
 }
 
@@ -431,11 +430,13 @@ func (c *Cache) TableContext(ctx context.Context, d *relation.Relation, x, y str
 	return tv.t, tv.kx, tv.ky, nil
 }
 
-// KendallPrepContext returns the reusable sort/tie precomputation of
-// Kendall's tau for the (x, y) column pair over the given row subset.
-// Validation errors (NaN values, too-small samples) are deterministic and
-// cached alongside; a context error is returned as-is and caches nothing.
-func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x, y, rowsKey string, rows []int) (*stats.KendallPrep, error) {
+// KendallPrepContext returns stats.Kendall of the (x, y) column pair over
+// the given row subset: the counts, tau, z and p of the one τ kernel, so a
+// warm lookup recounts nothing. Validation errors (NaN values, too-small
+// samples) are deterministic and cached alongside; a context error is
+// returned as-is and caches nothing. The name is kept for bench/replay.go,
+// which calls it.
+func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x, y, rowsKey string, rows []int) (stats.KendallResult, error) {
 	v, err := c.do(ctx, tauKey(x, y, rowsKey), func() (any, error) {
 		xv, err := c.FloatsContext(ctx, d, x, rowsKey, rows)
 		if err != nil {
@@ -445,12 +446,12 @@ func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x,
 		if err != nil {
 			return nil, err
 		}
-		p, err := stats.PrepKendall(xv, yv)
-		return prepVal{p: p, err: err}, nil
+		k, err := stats.Kendall(xv, yv)
+		return tauVal{k: k, err: err}, nil
 	})
 	if err != nil {
-		return nil, err
+		return stats.KendallResult{}, err
 	}
-	pv := v.(prepVal)
-	return pv.p, pv.err
+	tv := v.(tauVal)
+	return tv.k, tv.err
 }

@@ -24,8 +24,8 @@ import (
 // is gathered: the fold buffers each column such pairs read once, for all
 // partitions — a numeric column's values, a categorical column's fold-wide
 // codes, in row order — and a partition holding a gathered pair keeps each
-// stratum's row indices. The pair's binned table or Kendall partial is
-// built from the buffers on demand, one stratum at a time, and belongs to
+// stratum's row indices. The pair's binned table or Kendall vectors are
+// built from the buffers on demand, one stratum at a time, and belong to
 // the caller. Beside the online tables the fold therefore holds 8 bytes per
 // row per buffered numeric column, 4 per buffered categorical column and 4
 // per gathering partition.
@@ -337,14 +337,13 @@ func (f *StreamFold) Table(pair, s int) stats.Table {
 	return stats.TableFromCodes(xc, yc, kx, ky)
 }
 
-// Kendall returns a fresh Kendall partial of pair i's values over stratum
-// s. It is the caller's to test and drop.
-func (f *StreamFold) Kendall(pair, s int) *stats.KendallPartial {
+// Kendall returns pair i's X and Y values over stratum s, in row order:
+// FloatsFor of the resident stratum. They are the caller's to test and
+// drop.
+func (f *StreamFold) Kendall(pair, s int) (x, y []float64) {
 	p := f.pairs[pair]
 	rows := p.part.strata[s].rows
-	kp := stats.NewKendallPartial()
-	kp.Append(gather(f.cols[p.x].floats, rows), gather(f.cols[p.y].floats, rows))
-	return kp
+	return gather(f.cols[p.x].floats, rows), gather(f.cols[p.y].floats, rows)
 }
 
 // codes returns buffered column c over a stratum's rows as CodesFor codes

@@ -4,19 +4,20 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
-// kendallScratch pools the merge-sort working memory of kendallFromPrep
-// (the permuted-y copy and the merge buffer). Both are consumed inside the
-// call — only the inversion count survives — so pooling is invisible to
-// callers and saves two O(n) allocations per tau evaluation on the
-// detection hot path.
+// kendallScratch pools Kendall's working memory: the sort order, the
+// permuted columns, the merge buffer and the tie groups. All of it is
+// consumed inside the call (the result holds only counts and floats), so
+// pooling is invisible to callers and a steady-state Kendall allocates
+// nothing.
 var kendallScratch = sync.Pool{New: func() any { return new(kendallBuffers) }}
 
 type kendallBuffers struct {
-	mem []float64
+	ints []int     // the sort order, then room for both columns' tie groups
+	mem  []float64 // the permuted columns and the merge buffer
 }
 
 // KendallResult reports Kendall rank-correlation statistics for a sample of
@@ -42,122 +43,88 @@ type KendallResult struct {
 	Approximate bool
 }
 
-// KendallPrep holds the sample-dependent precomputation of Kendall's tau
-// for one fixed (x, y) pair: the joint sort order and the per-column tie
-// group sizes. It is what the kernel cache memoizes per column pair so
-// repeated tests on the same data skip the O(n log n) sorts; a prep is
-// read-only and safe for concurrent reuse.
-type KendallPrep struct {
-	// Order holds the indices sorted by x ascending, x-ties by y ascending.
-	Order []int
-	// XTies and YTies are the tie group sizes of each column, in sorted
-	// value order (the tieGroupSizes form kendallZP consumes).
-	XTies, YTies []int
-}
-
-// PrepKendall validates the sample and computes its KendallPrep. The
-// validation (length, minimum size, NaN) is exactly Kendall's, so the
-// cached-prep path fails with byte-identical errors.
-func PrepKendall(x, y []float64) (*KendallPrep, error) {
+// Kendall computes Kendall's rank correlation between x and y in
+// O(n log n) time with Knight's algorithm, the method the paper cites
+// (§4.3, ref. [36]). It is the one τ kernel: the resident kernel cache
+// memoizes its result, and the streamed path calls it on a stratum's
+// gathered vectors, so the two agree bit for bit by construction.
+//
+// One sort orders the rows by (x, y, index). The pairs tied on x, the
+// pairs tied on both columns and the x tie groups are read off that joint
+// order. One bottom-up merge sort of y in that order counts the discordant
+// pairs and leaves y sorted, so the y tie groups are read off its output.
+func Kendall(x, y []float64) (KendallResult, error) {
 	n := len(x)
 	if n != len(y) {
-		return nil, fmt.Errorf("stats: Kendall length mismatch %d vs %d", n, len(y))
+		return KendallResult{}, fmt.Errorf("stats: Kendall length mismatch %d vs %d", n, len(y))
 	}
 	if n < 2 {
-		return nil, fmt.Errorf("stats: Kendall needs at least 2 observations, got %d", n)
+		return KendallResult{}, fmt.Errorf("stats: Kendall needs at least 2 observations, got %d", n)
 	}
 	for i := 0; i < n; i++ {
 		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			return nil, fmt.Errorf("stats: Kendall input contains NaN at %d", i)
+			return KendallResult{}, fmt.Errorf("stats: Kendall input contains NaN at %d", i)
 		}
 	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	// Sort by x ascending, breaking x-ties by y ascending.
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		//scoded:lint-ignore floatcmp comparator tie-break needs exact equality for a total order
-		if x[ia] != x[ib] {
-			return x[ia] < x[ib]
-		}
-		return y[ia] < y[ib]
-	})
-	return &KendallPrep{Order: idx, XTies: tieGroupSizes(x), YTies: tieGroupSizes(y)}, nil
-}
-
-// Kendall computes Kendall's rank correlation between x and y in
-// O(n log n) time using Knight's algorithm (merge-sort inversion counting
-// with tie corrections), the method referenced by the paper [36].
-func Kendall(x, y []float64) (KendallResult, error) {
-	p, err := PrepKendall(x, y)
-	if err != nil {
-		return KendallResult{}, err
-	}
-	return kendallFromPrep(x, y, p), nil
-}
-
-// KendallPrepped is Kendall with the sort/tie precomputation supplied by the
-// caller (typically from the kernel cache). A nil prep falls back to the
-// full computation. Results are bit-identical to Kendall on the same data.
-func KendallPrepped(x, y []float64, p *KendallPrep) (KendallResult, error) {
-	if p == nil {
-		return Kendall(x, y)
-	}
-	if len(x) != len(y) || len(p.Order) != len(x) {
-		return KendallResult{}, fmt.Errorf("stats: Kendall prep built for %d observations, got %d/%d",
-			len(p.Order), len(x), len(y))
-	}
-	return kendallFromPrep(x, y, p), nil
-}
-
-// kendallFromPrep runs the tie-corrected tau computation proper. Both the
-// prepped and unprepped entry points funnel here, so the two paths cannot
-// diverge arithmetically.
-func kendallFromPrep(x, y []float64, p *KendallPrep) KendallResult {
-	n := len(x)
-	idx := p.Order
-
-	// Tie counts over the joint sort order: pairs tied on x and on both
-	// (x, y) jointly.
-	var n1, n2, n3 int64
-	var tx, txy tieAccumulator
-	for i := 1; i < n; i++ {
-		ia, ib := idx[i], idx[i-1]
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		sameX := x[ia] == x[ib]
-		tx.step(sameX)
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		txy.step(sameX && y[ia] == y[ib])
-	}
-	n1 = tx.finish()
-	n3 = txy.finish()
-
 	sc := kendallScratch.Get().(*kendallBuffers)
-	if cap(sc.mem) < 2*n {
-		sc.mem = make([]float64, 2*n)
-	}
-	mem := sc.mem[:2*n]
-	ySorted, buf := mem[:n], mem[n:]
-	for i, id := range idx {
-		ySorted[i] = y[id]
-	}
-	// Discordant pairs = inversions of ySorted (strict descents across
-	// different-x pairs; within an x-tie block y is ascending so contributes
-	// no inversions).
-	discordant := countInversions(ySorted, buf)
+	res := sc.kendall(x, y)
 	kendallScratch.Put(sc)
+	return res, nil
+}
 
-	// Pairs tied on y, from the precomputed tie groups: a group of r equal
-	// values contributes r(r-1)/2 tied pairs (exact integer arithmetic, the
-	// same total the previous y-sorted pass accumulated).
-	for _, r := range p.YTies {
-		n2 += int64(r) * int64(r-1) / 2
+// kendall runs Knight's algorithm on a validated sample in sc's memory.
+func (sc *kendallBuffers) kendall(x, y []float64) KendallResult {
+	n := len(x)
+	if cap(sc.ints) < 2*n {
+		sc.ints = make([]int, 2*n)
 	}
+	if cap(sc.mem) < 3*n {
+		sc.mem = make([]float64, 3*n)
+	}
+	order := sc.ints[:n]
+	// A column of n values has at most n/2 tie groups, so neither
+	// column's groups outgrow their share of the rest.
+	xt, yt := sc.ints[n:n:n+n/2], sc.ints[n+n/2:n+n/2:2*n]
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case x[a] < x[b]:
+			return -1
+		case x[b] < x[a]:
+			return 1
+		case y[a] < y[b]:
+			return -1
+		case y[b] < y[a]:
+			return 1
+		}
+		return a - b
+	})
+	xs, ys, buf := sc.mem[:n], sc.mem[n:2*n], sc.mem[2*n:3*n]
+	for i, id := range order {
+		xs[i], ys[i] = x[id], y[id]
+	}
+
+	// Pairs tied on both columns are adjacent in the joint order: a run of
+	// r equal points holds r(r-1)/2 of them.
+	var n3, run int64
+	for i := 1; i < n; i++ {
+		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
+		if xs[i] == xs[i-1] && ys[i] == ys[i-1] {
+			run++
+			n3 += run
+		} else {
+			run = 0
+		}
+	}
+	xt, n1 := tieRuns(xs, xt)
+	// Discordant pairs are the strict descents of y in the joint order.
+	// Within an x-tie block y ascends, so pairs tied on x never count.
+	nd := countInversions(ys, buf)
+	yt, n2 := tieRuns(ys, yt)
 
 	n0 := int64(n) * int64(n-1) / 2
-	nd := discordant
 	nc := n0 - n1 - n2 + n3 - nd
 
 	res := KendallResult{
@@ -180,7 +147,7 @@ func kendallFromPrep(x, y []float64, p *KendallPrep) KendallResult {
 	}
 	res.TauB = clampUnit(num / denom)
 
-	res.Z, res.P = kendallZPFromTies(n, p.XTies, p.YTies, num)
+	res.Z, res.P = kendallZPFromTies(n, xt, yt, num)
 	res.Approximate = n <= 60
 	return res
 }
@@ -198,9 +165,9 @@ func kendallZP(n int, x, y []float64, num float64) (z, p float64) {
 	return kendallZPFromTies(n, tieGroupSizes(x), tieGroupSizes(y), num)
 }
 
-// kendallZPFromTies is kendallZP with the tie group sizes precomputed (they
-// are part of KendallPrep). The groups must be in tieGroupSizes order so the
-// float accumulation order — and hence the result bits — match exactly.
+// kendallZPFromTies is kendallZP with the tie group sizes given. The groups
+// must be in ascending value order, as tieGroupSizes returns them, so the
+// float accumulation order, and hence the result bits, match exactly.
 func kendallZPFromTies(n int, xt, yt []int, num float64) (z, p float64) {
 	fn := float64(n)
 	v0 := fn * (fn - 1) * (2*fn + 5)
@@ -242,46 +209,34 @@ func clampUnit(v float64) float64 {
 	return v
 }
 
-// tieAccumulator counts tied pairs from a stream of "is this element equal
-// to the previous one" observations over sorted data: a run of r equal
-// elements contributes r(r-1)/2 tied pairs.
-type tieAccumulator struct {
-	run   int64
-	total int64
-}
-
-func (t *tieAccumulator) step(same bool) {
-	if same {
-		t.run++
-		t.total += t.run
-	} else {
-		t.run = 0
-	}
-}
-
-func (t *tieAccumulator) finish() int64 { return t.total }
-
-// tieGroupSizes returns the sizes of groups of equal values in v.
+// tieGroupSizes returns the sizes of groups of equal values in v, in
+// ascending value order.
 func tieGroupSizes(v []float64) []int {
 	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	var out []int
+	slices.Sort(s)
+	groups, _ := tieRuns(s, nil)
+	return groups
+}
+
+// tieRuns appends to groups the size of every run of equal values longer
+// than one in sorted s, and returns it with the number of tied pairs the
+// runs hold: a run of r contributes r(r-1)/2.
+func tieRuns(s []float64, groups []int) ([]int, int64) {
+	var pairs int64
 	run := 1
-	for i := 1; i < len(s); i++ {
+	for i := 1; i <= len(s); i++ {
 		//scoded:lint-ignore floatcmp tie runs group exactly-equal sorted values
-		if s[i] == s[i-1] {
+		if i < len(s) && s[i] == s[i-1] {
 			run++
 			continue
 		}
 		if run > 1 {
-			out = append(out, run)
+			groups = append(groups, run)
+			pairs += int64(run) * int64(run-1) / 2
 		}
 		run = 1
 	}
-	if run > 1 {
-		out = append(out, run)
-	}
-	return out
+	return groups, pairs
 }
 
 // countInversions counts pairs (i, j), i < j, with v[i] > v[j], via
@@ -335,21 +290,20 @@ func KendallNaive(x, y []float64) KendallResult {
 	var nc, nd, tX, tY, tXY int64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			dx := x[i] - x[j]
-			dy := y[i] - y[j]
-			switch {
+			// Compare, never subtract: Inf-Inf is NaN, which would turn a
+			// pair tied at an infinity into a discordant one.
 			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-			case dx == 0 && dy == 0:
+			sameX, sameY := x[i] == x[j], y[i] == y[j]
+			switch {
+			case sameX && sameY:
 				tXY++
 				tX++
 				tY++
-			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-			case dx == 0:
+			case sameX:
 				tX++
-			//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-			case dy == 0:
+			case sameY:
 				tY++
-			case dx*dy > 0:
+			case (x[i] < x[j]) == (y[i] < y[j]):
 				nc++
 			default:
 				nd++
@@ -380,20 +334,11 @@ func KendallTest(x, y []float64) (TestResult, error) {
 	if err != nil {
 		return TestResult{}, err
 	}
-	return kendallTestResult(k), nil
+	return k.Test(), nil
 }
 
-// KendallTestPrepped is KendallTest with a caller-supplied (typically
-// cached) KendallPrep; see KendallPrepped.
-func KendallTestPrepped(x, y []float64, p *KendallPrep) (TestResult, error) {
-	k, err := KendallPrepped(x, y, p)
-	if err != nil {
-		return TestResult{}, err
-	}
-	return kendallTestResult(k), nil
-}
-
-func kendallTestResult(k KendallResult) TestResult {
+// Test is k as KendallTest reports it.
+func (k KendallResult) Test() TestResult {
 	return TestResult{
 		Statistic:   math.Abs(k.TauB),
 		P:           k.P,

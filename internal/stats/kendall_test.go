@@ -81,9 +81,92 @@ func TestKendallErrors(t *testing.T) {
 	}
 }
 
-// Knight's algorithm must agree exactly with the O(n^2) definition,
-// including all tie counts, on random data with many ties.
+// kendallDatasets are adversarial samples: ties everywhere, all-tied
+// columns, signed zeros, infinities, tiny samples, and random data.
+func kendallDatasets(rng *rand.Rand) map[string][2][]float64 {
+	mk := func(n int, gen func(i int) (float64, float64)) [2][]float64 {
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i], y[i] = gen(i)
+		}
+		return [2][]float64{x, y}
+	}
+	return map[string][2][]float64{
+		"random": mk(200, func(i int) (float64, float64) {
+			return rng.NormFloat64(), rng.NormFloat64()
+		}),
+		"heavy-ties": mk(150, func(i int) (float64, float64) {
+			return float64(rng.Intn(4)), float64(rng.Intn(3))
+		}),
+		"all-ties": mk(80, func(i int) (float64, float64) {
+			return 3.5, 3.5
+		}),
+		"constant-x": mk(64, func(i int) (float64, float64) {
+			return 7, rng.NormFloat64()
+		}),
+		"signed-zero": mk(96, func(i int) (float64, float64) {
+			vals := []float64{math.Copysign(0, -1), 0, 1, -1}
+			return vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+		}),
+		"infinities": mk(72, func(i int) (float64, float64) {
+			vals := []float64{math.Inf(-1), -2, 0, 2, math.Inf(1)}
+			return vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+		}),
+		"monotone": mk(100, func(i int) (float64, float64) {
+			return float64(i), float64(i) * 2
+		}),
+		"two-rows": mk(2, func(i int) (float64, float64) {
+			return float64(i), float64(1 - i)
+		}),
+		"small": mk(7, func(i int) (float64, float64) {
+			return float64(i % 3), float64(i % 2)
+		}),
+		// A pair tied at +Inf is a tie on x, not a discordant pair:
+		// Inf-Inf is NaN, so a difference cannot classify it.
+		"tied-infinity": {{math.Inf(1), math.Inf(1), 1}, {1, 2, 3}},
+	}
+}
+
+// matchesNaive reports whether Kendall agrees with the O(n^2) definition
+// on one sample: the same integer counts, the same bits of TauA and TauB,
+// and, whenever tau-b is defined, the same bits of Z and P. Both sides end
+// in kendallZPFromTies over the same tie groups, so nothing short of bit
+// equality is right.
+func matchesNaive(t *testing.T, name string, x, y []float64) bool {
+	t.Helper()
+	fast, err := Kendall(x, y)
+	if err != nil {
+		t.Errorf("%s: %v", name, err)
+		return false
+	}
+	slow := KendallNaive(x, y)
+	if fast.Concordant != slow.Concordant || fast.Discordant != slow.Discordant ||
+		fast.TiesX != slow.TiesX || fast.TiesY != slow.TiesY || fast.TiesXY != slow.TiesXY ||
+		fast.N != slow.N {
+		t.Errorf("%s: counts %+v, naive %+v", name, fast, slow)
+		return false
+	}
+	floats := [][2]float64{{fast.TauA, slow.TauA}, {fast.TauB, slow.TauB}}
+	if n0 := int64(fast.N) * int64(fast.N-1) / 2; fast.TiesX < n0 && fast.TiesY < n0 {
+		floats = append(floats, [2]float64{fast.Z, slow.Z}, [2]float64{fast.P, slow.P})
+	}
+	for _, f := range floats {
+		if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+			t.Errorf("%s: floats %+v, naive %+v", name, fast, slow)
+			return false
+		}
+	}
+	return true
+}
+
+// Knight's algorithm must agree with the O(n^2) definition bit for bit, tie
+// counts included, on the adversarial datasets and on random data with
+// many ties.
 func TestKendallMatchesNaive(t *testing.T) {
+	for name, d := range kendallDatasets(rand.New(rand.NewSource(11))) {
+		matchesNaive(t, name, d[0], d[1])
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(120) + 2
@@ -94,21 +177,69 @@ func TestKendallMatchesNaive(t *testing.T) {
 			x[i] = float64(rng.Intn(8))
 			y[i] = float64(rng.Intn(8))
 		}
-		fast, err := Kendall(x, y)
-		if err != nil {
-			return false
-		}
-		slow := KendallNaive(x, y)
-		return fast.Concordant == slow.Concordant &&
-			fast.Discordant == slow.Discordant &&
-			fast.TiesX == slow.TiesX &&
-			fast.TiesY == slow.TiesY &&
-			fast.TiesXY == slow.TiesXY &&
-			approxEq(fast.TauB, slow.TauB, 1e-12) &&
-			approxEq(fast.P, slow.P, 1e-12)
+		return matchesNaive(t, "random", x, y)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKendallHandComputedTauB pins Knight's algorithm (§4.3 of the paper,
+// its ref. [36]) and the tie-corrected variance on a sample small enough to
+// check by hand. The seven points, labelled in sorted order, are
+//
+//	P1 (1,1)  P2 (2,2)  P3 (2,2)  P4 (2,3)  P5 (3,2)  P6 (4,1)  P7 (5,4)
+//
+// x = 2 is a tie group of t = 3 (P2 P3 P4); y = 1 is a group of u = 2
+// (P1 P6) and y = 2 one of u = 3 (P2 P3 P5); P2 and P3 tie on both. Of the
+// n0 = C(7,2) = 21 pairs:
+//
+//	concordant   nc = 10  P1P2 P1P3 P1P4 P1P5 P1P7 P2P7 P3P7 P4P7 P5P7 P6P7
+//	discordant   nd = 5   P2P6 P3P6 P4P5 P4P6 P5P6
+//	tied on x    n1 = 3   P2P3 P2P4 P3P4          C(3,2)
+//	tied on y    n2 = 4   P1P6 P2P3 P2P5 P3P5     C(2,2) + C(3,2)
+//	tied on both n3 = 1   P2P3
+//
+// and 10 + 5 + 3 + 4 - 1 = 21. So tau-a = 5/21 and tau-b =
+// 5/sqrt((21-3)(21-4)) = 5/sqrt(306). The variance of nc - nd:
+//
+//	v0 = n(n-1)(2n+5)                              = 7·6·19         = 798
+//	vt = Σ t(t-1)(2t+5)                            = 3·2·11         = 66
+//	vu = Σ u(u-1)(2u+5)                            = 2·1·9 + 3·2·11 = 84
+//	v1 = Σ t(t-1) · Σ u(u-1) / (2n(n-1))           = 6·8 / 84       = 4/7
+//	v2 = Σ t(t-1)(t-2) · Σ u(u-1)(u-2) / (9n(n-1)(n-2)) = 6·6 / 1890 = 2/105
+//	var = (v0 - vt - vu)/18 + v1 + v2 = 36 + 4/7 + 2/105 = 3842/105
+//
+// so z = 5/sqrt(3842/105) ≈ 0.826582 and the two-sided p = erfc(z/√2) ≈
+// 0.408474. The rows are given out of order, so the sort does its part.
+func TestKendallHandComputedTauB(t *testing.T) {
+	//           P6 P2 P7 P4 P1 P5 P3
+	x := []float64{4, 2, 5, 2, 1, 3, 2}
+	y := []float64{1, 2, 4, 3, 1, 2, 2}
+	k, err := Kendall(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.N != 7 || k.Concordant != 10 || k.Discordant != 5 ||
+		k.TiesX != 3 || k.TiesY != 4 || k.TiesXY != 1 {
+		t.Fatalf("counts %+v, want n=7 nc=10 nd=5 n1=3 n2=4 n3=1", k)
+	}
+	wantZ := 5 / math.Sqrt(3842.0/105)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"tau-a", k.TauA, 5.0 / 21},
+		{"tau-b", k.TauB, 5 / math.Sqrt(306)},
+		{"z", k.Z, wantZ},
+		{"p", k.P, math.Erfc(wantZ / math.Sqrt2)},
+	} {
+		if !approxEq(c.got, c.want, 1e-12) {
+			t.Errorf("%s = %.17g, want %.17g", c.name, c.got, c.want)
+		}
+	}
+	if !k.Approximate {
+		t.Error("n=7 should be flagged Approximate")
 	}
 }
 

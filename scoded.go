@@ -136,7 +136,7 @@ type CheckOptions = detect.Options
 
 // KernelCache memoizes the intermediate statistics of one dataset's
 // detection hot path (column codings, conditioning-set partitions,
-// contingency tables, Kendall precomputations). Thread one through
+// contingency tables, Kendall results). Thread one through
 // CheckOptions.Cache / DrillOptions.Cache to make repeated checks over a
 // shared-attribute constraint family reuse each other's work; results are
 // bit-identical with and without it. Safe for concurrent use.

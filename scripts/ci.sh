@@ -40,9 +40,13 @@ echo "== bench module (vet, -race) =="
 # runs must agree bit for bit. The explicit run first pins the streamed
 # family's shape: one scan per checkall, one manifest snapshot, allocations
 # that do not grow with the row count, and columns buffered once per fold.
+# Streamed and resident Kendall agree because both call the one stats
+# kernel on the same vectors; its bit-level match with the O(n^2) naive
+# reference, and the online table's match with TableFromCodes, run here too.
 echo "== cross-path detection identity and fuzz =="
 go test -run 'CheckAllStream|Fold|ScanManifest|ReusesWindowSlabs' \
 	./internal/detect/ ./internal/kernel/ ./internal/store/
+go test -run 'Kendall|TablePartial' ./internal/stats/
 go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
 
 # Gating: the drill-down delta-argmax identity properties under the race
