@@ -18,13 +18,14 @@
 //
 // -mode oocore is the out-of-core detection smoke (DESIGN.md section 16):
 // phase 1 builds the same durable dataset on an unconstrained server and
-// captures /v1/checkall from the resident path; phase 2 restarts on the
-// same directory with GOMEMLIMIT set and -resident-bytes 1 — a budget no
-// dataset fits under — plus a small -scan-window-rows, and asserts the
-// answer is byte-identical while /metrics proves no relation was ever
-// materialized (scoded_resident_bytes and scoded_resident_misses_total
-// both stay 0): the whole family was answered by segment-streamed
-// sufficient statistics.
+// captures three /v1/checkall answers from the resident path — the
+// registered family, a Spearman family and the registered family with
+// auto_exact; phase 2 restarts on the same directory with GOMEMLIMIT set
+// and -resident-bytes 1 — a budget no dataset fits under — plus a small
+// -scan-window-rows, and asserts every answer is byte-identical while
+// /metrics proves no relation was ever materialized (scoded_resident_bytes
+// and scoded_resident_misses_total both stay 0): every family was answered
+// by segment-streamed sufficient statistics.
 //
 // Usage:
 //
@@ -219,10 +220,16 @@ func runOocore(serveBin string, players int, budget time.Duration) error {
 			return fmt.Errorf("adding constraint %q: %w", c, err)
 		}
 	}
-	checkReq := []byte(`{"dataset": "hockey", "workers": 1}`)
-	resident, err := request("POST", base+"/v1/checkall", "application/json", checkReq, http.StatusOK)
-	if err != nil {
-		return fmt.Errorf("resident checkall: %w", err)
+	checkReqs := [][]byte{
+		[]byte(`{"dataset": "hockey", "workers": 1}`),
+		[]byte(`{"dataset": "hockey", "constraints": ["GPM _||_ Games | DraftYear @ 0.05", "GPM _||_ Games @ 0.05"], "method": "spearman", "workers": 1}`),
+		[]byte(`{"dataset": "hockey", "auto_exact": true, "workers": 1}`),
+	}
+	resident := make([][]byte, len(checkReqs))
+	for i, req := range checkReqs {
+		if resident[i], err = request("POST", base+"/v1/checkall", "application/json", req, http.StatusOK); err != nil {
+			return fmt.Errorf("resident checkall %s: %w", req, err)
+		}
 	}
 	if err := srv.stop(); err != nil {
 		return fmt.Errorf("stopping unconstrained server: %w", err)
@@ -238,12 +245,14 @@ func runOocore(serveBin string, players int, budget time.Duration) error {
 	}
 	defer srv.kill()
 
-	streamed, err := request("POST", base+"/v1/checkall", "application/json", checkReq, http.StatusOK)
-	if err != nil {
-		return fmt.Errorf("streamed checkall: %w", err)
-	}
-	if !bytes.Equal(resident, streamed) {
-		return fmt.Errorf("streamed checkall diverged from resident:\nresident: %s\nstreamed: %s", resident, streamed)
+	for i, req := range checkReqs {
+		streamed, err := request("POST", base+"/v1/checkall", "application/json", req, http.StatusOK)
+		if err != nil {
+			return fmt.Errorf("streamed checkall %s: %w", req, err)
+		}
+		if !bytes.Equal(resident[i], streamed) {
+			return fmt.Errorf("streamed checkall %s diverged from resident:\nresident: %s\nstreamed: %s", req, resident[i], streamed)
+		}
 	}
 	metrics, err := request("GET", base+"/metrics", "", nil, http.StatusOK)
 	if err != nil {

@@ -188,20 +188,25 @@ type statSource interface {
 	columnKind(col string) (relation.Kind, bool)
 	// numRows is the dataset's row count.
 	numRows() int
-	// accepts rejects options the source cannot serve.
-	accepts(opts Options) error
-	// stratify prepares the statistics of x against y under method for
-	// every stratum of z; an empty z is one stratum, the whole dataset.
-	stratify(ctx context.Context, z []string, x, y string, method Method, opts Options) (strata, error)
+	// stratify prepares the statistics of x against y for every stratum
+	// of z; an empty z is one stratum, the whole dataset.
+	stratify(ctx context.Context, z []string, x, y string, opts Options) (strata, error)
 }
 
-// strata is one stratified X/Y pair: the sorted stratum keys (relation.RowKey
-// form), each stratum's size, and its test. The driver calls test only for
-// strata it does not skip, so a skipped stratum never touches the cache.
-type strata struct {
-	keys []string
-	size func(i int) int
-	test func(ctx context.Context, i int) (stats.TestResult, error)
+// strata is one stratified X/Y pair of a source: its sorted stratum keys
+// (relation.RowKey form) and, per stratum (an index into keys), its size
+// and every statistic a test reads — the contingency table, the X and Y
+// codes, the X and Y values, and Kendall's result. testPair asks only for
+// what its method needs, and the driver only for strata it does not skip,
+// so a skipped stratum never touches the cache. Callers must not mutate
+// what the statistics return.
+type strata interface {
+	keys() []string
+	size(i int) int
+	table(ctx context.Context, i int) (stats.Table, error)
+	codes(ctx context.Context, i int) (x, y []int32, kx, ky int, err error)
+	floats(ctx context.Context, i int) (x, y []float64, err error)
+	kendall(ctx context.Context, i int) (stats.KendallResult, error)
 }
 
 // marginalKeys keys the single stratum of an unconditioned pair.
@@ -217,8 +222,8 @@ type leafPlan struct {
 }
 
 // plan is Algorithm 1's preparation over any statistics source: validation,
-// the column check, the source's option check, option defaults, leaf
-// decomposition and Auto resolution. check runs the plan it returns, and
+// the column check, option defaults, leaf decomposition and Auto
+// resolution. check runs the plan it returns, and
 // CheckAllStream lists the family's pairs from the same plans before its
 // one scan, so the two can never disagree about which pairs a check reads.
 func plan(src statSource, a sc.Approximate, opts Options) (Options, []leafPlan, error) {
@@ -229,9 +234,6 @@ func plan(src statSource, a sc.Approximate, opts Options) (Options, []leafPlan, 
 		if _, ok := src.columnKind(col); !ok {
 			return opts, nil, fmt.Errorf("detect: dataset lacks column %q required by %s", col, a.SC)
 		}
-	}
-	if err := src.accepts(opts); err != nil {
-		return opts, nil, err
 	}
 	opts = opts.withDefaults()
 	leaves := a.SC.Decompose()
@@ -312,19 +314,19 @@ func checkSingle(ctx context.Context, src statSource, leaf leafPlan, opts Option
 		return Result{}, leaf.err
 	}
 	a, method := leaf.a, leaf.method
-	st, err := src.stratify(ctx, a.SC.Z, a.SC.X[0], a.SC.Y[0], method, opts)
+	st, err := src.stratify(ctx, a.SC.Z, a.SC.X[0], a.SC.Y[0], opts)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Constraint: a, Method: method}
 
 	if a.SC.IsMarginal() {
-		if res.Test, err = st.test(ctx, 0); err != nil {
+		if res.Test, err = testPair(ctx, st, 0, method, opts); err != nil {
 			return Result{}, err
 		}
 	} else {
 		comb := stratumCombiner{method: method}
-		for i, k := range st.keys {
+		for i, k := range st.keys() {
 			if err := ctx.Err(); err != nil {
 				return Result{}, fmt.Errorf("detect: %w", err)
 			}
@@ -334,7 +336,7 @@ func checkSingle(ctx context.Context, src statSource, leaf leafPlan, opts Option
 				res.Strata = append(res.Strata, sr)
 				continue
 			}
-			tr, err := st.test(ctx, i)
+			tr, err := testPair(ctx, st, i, method, opts)
 			if err != nil {
 				return Result{}, fmt.Errorf("detect: stratum %s: %w", sr.Key, err)
 			}
@@ -380,9 +382,9 @@ func resolveMethodKinds(x, y string, kx, ky relation.Kind, m Method) (Method, er
 }
 
 // residentSource serves a materialized relation. Every artifact — the
-// partition, and through the per-stratum rows keys every stratum's codings
-// and tables — is read through opts.Cache, so constraints sharing attributes
-// or conditioning sets share one computation.
+// partition, and through the per-stratum rows keys every stratum's codings,
+// tables and Kendall results — is read through opts.Cache, so constraints
+// sharing attributes or conditioning sets share one computation.
 type residentSource struct{ d *relation.Relation }
 
 func (r residentSource) columnKind(col string) (relation.Kind, bool) {
@@ -395,35 +397,99 @@ func (r residentSource) columnKind(col string) (relation.Kind, bool) {
 
 func (r residentSource) numRows() int { return r.d.NumRows() }
 
-func (r residentSource) accepts(opts Options) error {
+func (r residentSource) stratify(ctx context.Context, z []string, x, y string, opts Options) (strata, error) {
 	if opts.Cache != nil && opts.Cache.Relation() != r.d {
-		return fmt.Errorf("detect: kernel cache is bound to a different relation")
+		return nil, fmt.Errorf("detect: kernel cache is bound to a different relation")
 	}
-	return nil
+	st := &residentStrata{d: r.d, cache: opts.Cache, x: x, y: y, bins: opts.Bins}
+	if len(z) > 0 {
+		part, err := opts.Cache.PartitionContext(ctx, r.d, z)
+		if err != nil {
+			return nil, fmt.Errorf("detect: %w", err)
+		}
+		st.part = part
+	}
+	return st, nil
 }
 
-func (r residentSource) stratify(ctx context.Context, z []string, x, y string, method Method, opts Options) (strata, error) {
-	if len(z) == 0 {
-		return strata{
-			keys: marginalKeys,
-			size: func(int) int { return r.d.NumRows() },
-			test: func(ctx context.Context, _ int) (stats.TestResult, error) {
-				return testPair(ctx, r.d, x, y, method, opts, nil, opts.Cache.AllRowsKey())
-			},
-		}, nil
+// residentStrata is one pair of a materialized relation. part is nil for a
+// marginal pair, whose one stratum is every row under the cache's all-rows
+// key. Each lookup builds its stratum's rows key where it uses it: a key
+// returned from a helper would move to the heap once per stratum.
+type residentStrata struct {
+	d     *relation.Relation
+	cache *kernel.Cache
+	x, y  string
+	bins  int
+	part  *kernel.Partition
+}
+
+func (r *residentStrata) keys() []string {
+	if r.part == nil {
+		return marginalKeys
 	}
-	part, err := opts.Cache.PartitionContext(ctx, r.d, z)
-	if err != nil {
-		return strata{}, fmt.Errorf("detect: %w", err)
+	return r.part.Keys
+}
+
+func (r *residentStrata) size(i int) int {
+	if r.part == nil {
+		return r.d.NumRows()
 	}
-	return strata{
-		keys: part.Keys,
-		size: func(i int) int { return len(part.Groups[part.Keys[i]]) },
-		test: func(ctx context.Context, i int) (stats.TestResult, error) {
-			k := part.Keys[i]
-			return testPair(ctx, r.d, x, y, method, opts, part.Groups[k], part.StratumRowsKey(k))
-		},
-	}, nil
+	return len(r.part.Groups[r.part.Keys[i]])
+}
+
+func (r *residentStrata) table(ctx context.Context, i int) (stats.Table, error) {
+	if r.part == nil {
+		t, _, _, err := r.cache.TableContext(ctx, r.d, r.x, r.y, r.bins, r.cache.AllRowsKey(), nil)
+		return t, err
+	}
+	k := r.part.Keys[i]
+	t, _, _, err := r.cache.TableContext(ctx, r.d, r.x, r.y, r.bins, r.part.StratumRowsKey(k), r.part.Groups[k])
+	return t, err
+}
+
+func (r *residentStrata) codes(ctx context.Context, i int) (x, y []int32, kx, ky int, err error) {
+	var rows []int
+	var key string
+	if r.part == nil {
+		key = r.cache.AllRowsKey()
+	} else {
+		k := r.part.Keys[i]
+		rows, key = r.part.Groups[k], r.part.StratumRowsKey(k)
+	}
+	if x, kx, err = r.cache.CodesContext(ctx, r.d, r.x, r.bins, key, rows); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	if y, ky, err = r.cache.CodesContext(ctx, r.d, r.y, r.bins, key, rows); err != nil {
+		return nil, nil, 0, 0, err
+	}
+	return x, y, kx, ky, nil
+}
+
+func (r *residentStrata) floats(ctx context.Context, i int) (x, y []float64, err error) {
+	var rows []int
+	var key string
+	if r.part == nil {
+		key = r.cache.AllRowsKey()
+	} else {
+		k := r.part.Keys[i]
+		rows, key = r.part.Groups[k], r.part.StratumRowsKey(k)
+	}
+	if x, err = r.cache.FloatsContext(ctx, r.d, r.x, key, rows); err != nil {
+		return nil, nil, err
+	}
+	if y, err = r.cache.FloatsContext(ctx, r.d, r.y, key, rows); err != nil {
+		return nil, nil, err
+	}
+	return x, y, nil
+}
+
+func (r *residentStrata) kendall(ctx context.Context, i int) (stats.KendallResult, error) {
+	if r.part == nil {
+		return r.cache.KendallPrepContext(ctx, r.d, r.x, r.y, r.cache.AllRowsKey(), nil)
+	}
+	k := r.part.Keys[i]
+	return r.cache.KendallPrepContext(ctx, r.d, r.x, r.y, r.part.StratumRowsKey(k), r.part.Groups[k])
 }
 
 // stratumCombiner accumulates per-stratum test results and combines them
@@ -491,70 +557,51 @@ func displayKey(k string) string {
 	return string(out)
 }
 
-// testPair runs the chosen statistic on one X/Y pair over the given rows
-// (nil rows with rowsKey "" means the whole relation; stratum row sets carry
-// their partition-derived rowsKey). All data preparation — codings, tables,
-// float extraction, Kendall's tau — goes through opts.Cache, which computes
-// directly when nil. With AutoExact set, a result flagged Approximate is
-// recomputed by the matching permutation test.
-func testPair(ctx context.Context, d *relation.Relation, x, y string, method Method, opts Options, rows []int, rowsKey string) (stats.TestResult, error) {
-	cache := opts.Cache
+// testPair runs method on stratum i of one stratified pair, over whichever
+// source served it: G on the stratum's table, Kendall on its Kendall
+// result, the exact tests on its codes or values, and Pearson and Spearman
+// on its values. With AutoExact set, a G or Kendall result flagged
+// Approximate is recomputed by the matching permutation test.
+func testPair(ctx context.Context, st strata, i int, method Method, opts Options) (stats.TestResult, error) {
+	switch method {
+	case G:
+		t, err := st.table(ctx, i)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		if res, err := stats.GTest(t); err != nil || !opts.AutoExact || !res.Approximate {
+			return res, err
+		}
+	case Kendall:
+		k, err := st.kendall(ctx, i)
+		if err != nil {
+			return stats.TestResult{}, err
+		}
+		if res := k.Test(); !opts.AutoExact || !res.Approximate {
+			return res, nil
+		}
+	}
+	// The permutation tests, AutoExact's re-runs among them, and the
+	// correlation tests read the stratum's codes or values.
 	switch method {
 	case G, ExactG:
-		if method == ExactG {
-			xc, kx, err := cache.CodesContext(ctx, d, x, opts.Bins, rowsKey, rows)
-			if err != nil {
-				return stats.TestResult{}, err
-			}
-			yc, ky, err := cache.CodesContext(ctx, d, y, opts.Bins, rowsKey, rows)
-			if err != nil {
-				return stats.TestResult{}, err
-			}
-			return stats.PermutationGTest(xc, yc, kx, ky, opts.PermIters, opts.Rng)
-		}
-		t, _, _, err := cache.TableContext(ctx, d, x, y, opts.Bins, rowsKey, rows)
+		xc, yc, kx, ky, err := st.codes(ctx, i)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
-		res, err := stats.GTest(t)
-		if err == nil && opts.AutoExact && res.Approximate {
-			xc, kx, cerr := cache.CodesContext(ctx, d, x, opts.Bins, rowsKey, rows)
-			if cerr != nil {
-				return stats.TestResult{}, cerr
-			}
-			yc, ky, cerr := cache.CodesContext(ctx, d, y, opts.Bins, rowsKey, rows)
-			if cerr != nil {
-				return stats.TestResult{}, cerr
-			}
-			return stats.PermutationGTest(xc, yc, kx, ky, opts.PermIters, opts.Rng)
-		}
-		return res, err
+		return stats.PermutationGTest(xc, yc, kx, ky, opts.PermIters, opts.Rng)
 	case Kendall, ExactKendall, Pearson, Spearman:
-		if method == Kendall {
-			k, err := cache.KendallPrepContext(ctx, d, x, y, rowsKey, rows)
-			if err != nil {
-				return stats.TestResult{}, err
-			}
-			if res := k.Test(); !opts.AutoExact || !res.Approximate {
-				return res, nil
-			}
-			// AutoExact: re-run as the permutation test, below.
-		}
-		xv, err := cache.FloatsContext(ctx, d, x, rowsKey, rows)
-		if err != nil {
-			return stats.TestResult{}, err
-		}
-		yv, err := cache.FloatsContext(ctx, d, y, rowsKey, rows)
+		xv, yv, err := st.floats(ctx, i)
 		if err != nil {
 			return stats.TestResult{}, err
 		}
 		switch method {
-		case Kendall, ExactKendall:
-			return stats.PermutationKendallTest(xv, yv, opts.PermIters, opts.Rng)
 		case Pearson:
 			return stats.PearsonTest(xv, yv)
-		default:
+		case Spearman:
 			return stats.SpearmanTest(xv, yv)
+		default:
+			return stats.PermutationKendallTest(xv, yv, opts.PermIters, opts.Rng)
 		}
 	default:
 		return stats.TestResult{}, fmt.Errorf("detect: unsupported method %s", method)

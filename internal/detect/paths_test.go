@@ -69,27 +69,33 @@ func pathsRelation(seed int64, n int, flags uint8) *relation.Relation {
 	)
 }
 
+// pathsAutoExact is the method byte's AutoExact bit; its low bits pick the
+// method.
+const pathsAutoExact = 0x80
+
 // FuzzCheckAllPaths is the cross-path differential harness. From the fuzz
 // inputs it builds a small relation, stores it as a replace plus one append
 // (a split the fuzzer chooses), and draws a family from the streamFamily
-// shapes. Four runs must agree exactly with the resident CheckAllContext
-// over the stored relation: CheckAllStream at a fuzz-chosen window size;
-// the resident check of the pre-append rows advanced through AppendRows and
-// Cache.Advance; and, with FDR control on, CheckAllStream against the
-// resident FDR run.
+// shapes, checked by a fuzz-chosen method with or without AutoExact. Four
+// runs must agree exactly with the resident CheckAllContext over the stored
+// relation: CheckAllStream at a fuzz-chosen window size; the resident check
+// of the pre-append rows advanced through AppendRows and Cache.Advance;
+// and, with FDR control on, CheckAllStream against the resident FDR run.
 func FuzzCheckAllPaths(f *testing.F) {
-	f.Add(int64(1), uint8(60), uint8(0), uint8(30), uint16(0), uint8(0))
-	f.Add(int64(2), uint8(90), uint8(7), uint8(11), uint16(0), uint8(pathsNaN|pathsRare))
-	f.Add(int64(3), uint8(40), uint8(1), uint8(39), uint16(0x0f3), uint8(pathsTies))
-	f.Add(int64(4), uint8(120), uint8(5), uint8(1), uint16(0), uint8(pathsNaN0|pathsRare))
-	f.Add(int64(5), uint8(3), uint8(2), uint8(1), uint16(0x1ff), uint8(pathsTies|pathsRare|pathsNaN))
-	f.Add(int64(6), uint8(120), uint8(9), uint8(50), uint16(0x600), uint8(pathsTies))
-	f.Add(int64(7), uint8(100), uint8(3), uint8(20), uint16(0x602), uint8(pathsTies|pathsNaN0|pathsRare))
-	f.Fuzz(func(t *testing.T, seed int64, rows, window, split uint8, pick uint16, flags uint8) {
+	f.Add(int64(1), uint8(60), uint8(0), uint8(30), uint16(0), uint8(0), uint8(Auto))
+	f.Add(int64(2), uint8(90), uint8(7), uint8(11), uint16(0), uint8(pathsNaN|pathsRare), uint8(G|pathsAutoExact))
+	f.Add(int64(3), uint8(40), uint8(1), uint8(39), uint16(0x0f3), uint8(pathsTies), uint8(Kendall|pathsAutoExact))
+	f.Add(int64(4), uint8(120), uint8(5), uint8(1), uint16(0), uint8(pathsNaN0|pathsRare), uint8(Pearson))
+	f.Add(int64(5), uint8(3), uint8(2), uint8(1), uint16(0x1ff), uint8(pathsTies|pathsRare|pathsNaN), uint8(Spearman))
+	f.Add(int64(6), uint8(120), uint8(9), uint8(50), uint16(0x600), uint8(pathsTies), uint8(ExactG))
+	f.Add(int64(7), uint8(100), uint8(3), uint8(20), uint16(0x602), uint8(pathsTies|pathsNaN0|pathsRare), uint8(ExactKendall))
+	f.Add(int64(8), uint8(70), uint8(4), uint8(35), uint16(0), uint8(pathsTies|pathsRare), uint8(Auto|pathsAutoExact))
+	f.Fuzz(func(t *testing.T, seed int64, rows, window, split uint8, pick uint16, flags, method uint8) {
 		n := 2 + int(rows)%150
 		cut := 1 + int(split)%(n-1)
 		windowRows := int(window) % 17
 		rel := pathsRelation(seed, n, flags)
+		opts := Options{Method: Method(int(method&^pathsAutoExact) % 7), AutoExact: method&pathsAutoExact != 0, PermIters: 19}
 
 		var family []sc.Approximate
 		for i, a := range streamFamily() {
@@ -116,7 +122,7 @@ func FuzzCheckAllPaths(f *testing.F) {
 		}
 		cache := kernel.NewAt(head, m1.Version)
 		ctx := context.Background()
-		if _, err := CheckAllContext(ctx, head, family, BatchOptions{Options: Options{Cache: cache}}); err != nil {
+		if _, err := CheckAllContext(ctx, head, family, BatchOptions{Options: withCache(opts, cache)}); err != nil {
 			t.Fatalf("CheckAllContext before the append: %v", err)
 		}
 		tail := rel.Subset(all[cut:])
@@ -142,24 +148,24 @@ func FuzzCheckAllPaths(f *testing.F) {
 		}
 
 		runs := func(fdr float64) (want, streamed []Result) {
-			want, err := CheckAllContext(ctx, loaded, family, BatchOptions{Options: Options{Cache: kernel.New(loaded)}, FDR: fdr})
+			want, err := CheckAllContext(ctx, loaded, family, BatchOptions{Options: withCache(opts, kernel.New(loaded)), FDR: fdr})
 			if err != nil {
 				t.Fatalf("CheckAllContext (fdr %v): %v", fdr, err)
 			}
-			streamed, err = CheckAllStream(ctx, streamer, family, BatchOptions{FDR: fdr})
+			streamed, err = CheckAllStream(ctx, streamer, family, BatchOptions{Options: opts, FDR: fdr})
 			if err != nil {
 				t.Fatalf("CheckAllStream (fdr %v): %v", fdr, err)
 			}
 			return want, streamed
 		}
 		want, streamed := runs(0)
-		advanced, err := CheckAllContext(ctx, grown, family, BatchOptions{Options: Options{Cache: cache.Advance(grown, m2.Version)}})
+		advanced, err := CheckAllContext(ctx, grown, family, BatchOptions{Options: withCache(opts, cache.Advance(grown, m2.Version))})
 		if err != nil {
 			t.Fatalf("CheckAllContext after the append: %v", err)
 		}
 		wantFDR, streamedFDR := runs(0.1)
 		for i, a := range family {
-			label := fmt.Sprintf("n %d cut %d window %d constraint %d (%s)", n, cut, windowRows, i, a.SC)
+			label := fmt.Sprintf("n %d cut %d window %d method %s auto_exact %v constraint %d (%s)", n, cut, windowRows, opts.Method, opts.AutoExact, i, a.SC)
 			requireSameTest(t, "streamed "+label, streamed[i], want[i])
 			requireSameTest(t, "after append "+label, advanced[i], want[i])
 			requireSameTest(t, "streamed fdr "+label, streamedFDR[i], wantFDR[i])

@@ -16,35 +16,13 @@ import (
 // Algorithm 1 driver over streamSource, which reads every pair's
 // per-stratum statistics from a single kernel.Streamer fold of the store's
 // segments instead of a materialized relation. One scan serves the whole
-// family: categorical pairs' contingency tables are counted online, and
-// the columns the other pairs read are buffered once, shared by every pair
-// and conditioning list that reads them. Results are bit-identical to
-// CheckAllContext for every supported method: the fold reproduces the
-// resident stratum's table, or its X and Y values in row order, and the
-// test runs the same stats kernel on them (pinned by
-// TestCheckAllStreamIdentity and FuzzCheckAllPaths).
-//
-// The streamed source is deliberately narrower than the resident one. The
-// permutation tests (ExactG, ExactKendall, and the AutoExact fallback)
-// need full per-stratum row vectors and a shared deterministic Rng, and
-// Pearson/Spearman need whole-column float vectors in row order; those
-// stay resident-only. StreamEligible gates the choice so callers fall
-// back to materialization rather than silently changing statistics.
-
-// StreamEligible reports whether a family run with opts can take the
-// streaming path: closed-form G and Kendall (or Auto, which resolves to
-// one of them) without the AutoExact permutation fallback.
-func StreamEligible(opts Options) bool {
-	if opts.AutoExact {
-		return false
-	}
-	switch opts.Method {
-	case Auto, G, Kendall:
-		return true
-	default:
-		return false
-	}
-}
+// family: the fold buffers each column the family reads once, shared by
+// every pair and conditioning list, and keeps each stratum's row indices.
+// A stratum's codes, table, values or Kendall result are built from the
+// buffers inside its test, from the inputs the resident kernels read, so
+// every method — the exact tests and the AutoExact fallback included — is
+// bit-identical to CheckAllContext (pinned by TestCheckAllStreamIdentity
+// and FuzzCheckAllPaths).
 
 // CheckAllStream checks a family of approximate SCs against a streamed
 // dataset. The result slice is element-for-element identical (same
@@ -55,12 +33,11 @@ func StreamEligible(opts Options) bool {
 // plans every constraint exactly as check does, lists the distinct
 // stratified pairs the plans read, and folds them all in a single
 // kernel.Streamer pass. The constraints then run on the engine pool like
-// the resident family's, each stratum's table or Kendall vectors built
-// inside its test and dropped after it. If the scan fails, every
-// constraint it served reports the scan's error; constraints that failed
-// their own planning (a missing column, say) keep that error. When ctx
-// ends mid-family, finished constraints keep their results and the rest
-// report the context error.
+// the resident family's, each stratum's statistics built inside its test
+// and dropped after it. If the scan fails, every constraint it served
+// reports the scan's error; constraints that failed their own planning (a
+// missing column, say) keep that error. When ctx ends mid-family, finished
+// constraints keep their results and the rest report the context error.
 func CheckAllStream(ctx context.Context, st *kernel.Streamer, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
 	if err := checkFDR(opts.FDR); err != nil {
 		return nil, err
@@ -73,7 +50,7 @@ func CheckAllStream(ctx context.Context, st *kernel.Streamer, as []sc.Approximat
 		}
 		for _, l := range leaves {
 			if l.err == nil {
-				src.add(l.a.SC.Z, l.a.SC.X[0], l.a.SC.Y[0], l.method, o.Bins)
+				src.add(l.a.SC.Z, l.a.SC.X[0], l.a.SC.Y[0], o.Bins)
 			}
 		}
 	}
@@ -93,48 +70,61 @@ type streamSource struct {
 	err   error // the fold's error, shared by every pair it served
 }
 
-// pairKey identifies a stratified pair by its (Z, X, Y, method, bins).
-func pairKey(z []string, x, y string, method Method, bins int) string {
-	return strings.Join(append([]string{method.String(), strconv.Itoa(bins), x, y}, z...), "\x00")
+// pairKey identifies a stratified pair by its (Z, X, Y, bins).
+func pairKey(z []string, x, y string, bins int) string {
+	return strings.Join(append([]string{strconv.Itoa(bins), x, y}, z...), "\x00")
 }
 
 // add lists one pair for the fold, once however many leaves read it.
-func (s *streamSource) add(z []string, x, y string, method Method, bins int) {
-	k := pairKey(z, x, y, method, bins)
+func (s *streamSource) add(z []string, x, y string, bins int) {
+	k := pairKey(z, x, y, bins)
 	if _, ok := s.pair[k]; ok {
 		return
 	}
 	s.pair[k] = len(s.pairs)
-	s.pairs = append(s.pairs, kernel.StreamPair{Z: z, X: x, Y: y, Kendall: method == Kendall, Bins: bins})
+	s.pairs = append(s.pairs, kernel.StreamPair{Z: z, X: x, Y: y, Bins: bins})
 }
 
 func (s *streamSource) columnKind(col string) (relation.Kind, bool) { return s.st.ColumnKind(col) }
 
 func (s *streamSource) numRows() int { return s.st.Rows() }
 
-func (s *streamSource) accepts(opts Options) error {
-	if !StreamEligible(opts) {
-		return fmt.Errorf("detect: method %s is not stream-eligible", opts.Method)
+func (s *streamSource) stratify(_ context.Context, z []string, x, y string, opts Options) (strata, error) {
+	if s.err != nil {
+		return nil, fmt.Errorf("detect: %w", s.err)
 	}
-	return nil
+	p, ok := s.pair[pairKey(z, x, y, opts.Bins)]
+	if !ok {
+		return nil, fmt.Errorf("detect: %s against %s given %v was not folded", x, y, z)
+	}
+	return streamStrata{fold: s.fold, pair: p}, nil
 }
 
-func (s *streamSource) stratify(_ context.Context, z []string, x, y string, method Method, opts Options) (strata, error) {
-	if s.err != nil {
-		return strata{}, fmt.Errorf("detect: %w", s.err)
-	}
-	p, ok := s.pair[pairKey(z, x, y, method, opts.Bins)]
-	if !ok {
-		return strata{}, fmt.Errorf("detect: %s against %s given %v was not folded", x, y, z)
-	}
-	return strata{
-		keys: s.fold.Keys(p),
-		size: func(i int) int { return s.fold.Size(p, i) },
-		test: func(_ context.Context, i int) (stats.TestResult, error) {
-			if method == Kendall {
-				return stats.KendallTest(s.fold.Kendall(p, i))
-			}
-			return stats.GTest(s.fold.Table(p, i))
-		},
-	}, nil
+// streamStrata is one pair of a family fold. Its statistics are built from
+// the fold's buffers on every call and belong to the caller.
+type streamStrata struct {
+	fold *kernel.StreamFold
+	pair int
+}
+
+func (s streamStrata) keys() []string { return s.fold.Keys(s.pair) }
+
+func (s streamStrata) size(i int) int { return s.fold.Size(s.pair, i) }
+
+func (s streamStrata) table(_ context.Context, i int) (stats.Table, error) {
+	return stats.TableFromCodes(s.fold.Codes(s.pair, i)), nil
+}
+
+func (s streamStrata) codes(_ context.Context, i int) (x, y []int32, kx, ky int, err error) {
+	x, y, kx, ky = s.fold.Codes(s.pair, i)
+	return x, y, kx, ky, nil
+}
+
+func (s streamStrata) floats(_ context.Context, i int) (x, y []float64, err error) {
+	x, y = s.fold.Floats(s.pair, i)
+	return x, y, nil
+}
+
+func (s streamStrata) kendall(_ context.Context, i int) (stats.KendallResult, error) {
+	return stats.Kendall(s.fold.Floats(s.pair, i))
 }

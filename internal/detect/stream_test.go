@@ -167,30 +167,50 @@ func streamFamily() []sc.Approximate {
 	}
 }
 
-// TestCheckAllStreamIdentity pins the acceptance criterion: the streamed
-// family run is element-for-element bit-identical to the resident run,
-// across chunk sizes that split strata mid-segment.
+// identityMethods lists every method, each with and without the AutoExact
+// fallback. PermIters stays small so the permutation tests run quickly.
+func identityMethods() []Options {
+	var out []Options
+	for _, m := range []Method{Auto, G, Kendall, Pearson, Spearman, ExactG, ExactKendall} {
+		for _, autoExact := range []bool{false, true} {
+			out = append(out, Options{Method: m, AutoExact: autoExact, PermIters: 19})
+		}
+	}
+	return out
+}
+
+// TestCheckAllStreamIdentity pins the acceptance criterion: for every
+// method, with and without AutoExact, the streamed family run is
+// element-for-element bit-identical to the resident run, across chunk
+// sizes that split strata mid-segment.
 func TestCheckAllStreamIdentity(t *testing.T) {
 	rel := streamWorkload(t)
 	family := streamFamily()
 	for _, windowRows := range []int{0, 1, 7, 1000} {
 		streamer, loaded := storeStreamer(t, rel, windowRows)
-		opts := BatchOptions{Options: Options{Cache: kernel.New(loaded)}}
-		want, err := CheckAllContext(context.Background(), loaded, family, opts)
-		if err != nil {
-			t.Fatalf("CheckAllContext: %v", err)
-		}
-		got, err := CheckAllStream(context.Background(), streamer, family, BatchOptions{})
-		if err != nil {
-			t.Fatalf("CheckAllStream: %v", err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("window %d: %d results, want %d", windowRows, len(got), len(want))
-		}
-		for i := range want {
-			requireSameTest(t, fmt.Sprintf("window %d constraint %d (%s)", windowRows, i, family[i].SC), got[i], want[i])
+		for _, o := range identityMethods() {
+			want, err := CheckAllContext(context.Background(), loaded, family, BatchOptions{Options: withCache(o, kernel.New(loaded))})
+			if err != nil {
+				t.Fatalf("CheckAllContext: %v", err)
+			}
+			got, err := CheckAllStream(context.Background(), streamer, family, BatchOptions{Options: o})
+			if err != nil {
+				t.Fatalf("CheckAllStream: %v", err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("window %d %s: %d results, want %d", windowRows, o.Method, len(got), len(want))
+			}
+			for i := range want {
+				requireSameTest(t, fmt.Sprintf("window %d method %s auto_exact %v constraint %d (%s)", windowRows, o.Method, o.AutoExact, i, family[i].SC), got[i], want[i])
+			}
 		}
 	}
+}
+
+// withCache returns o reading through cache.
+func withCache(o Options, cache *kernel.Cache) Options {
+	o.Cache = cache
+	return o
 }
 
 // TestCheckAllStreamFDRIdentity pins the BH post-pass on the streamed path.
@@ -209,26 +229,6 @@ func TestCheckAllStreamFDRIdentity(t *testing.T) {
 	}
 	for i := range want {
 		requireSameTest(t, fmt.Sprintf("constraint %d", i), got[i], want[i])
-	}
-}
-
-func TestStreamEligible(t *testing.T) {
-	for _, tc := range []struct {
-		opts Options
-		want bool
-	}{
-		{Options{}, true},
-		{Options{Method: G}, true},
-		{Options{Method: Kendall}, true},
-		{Options{Method: Pearson}, false},
-		{Options{Method: Spearman}, false},
-		{Options{Method: ExactG}, false},
-		{Options{Method: ExactKendall}, false},
-		{Options{AutoExact: true}, false},
-	} {
-		if got := StreamEligible(tc.opts); got != tc.want {
-			t.Errorf("StreamEligible(%+v) = %v, want %v", tc.opts, got, tc.want)
-		}
 	}
 }
 

@@ -249,15 +249,18 @@ func TestTauDSCDrilldownFindsImputedValues(t *testing.T) {
 	}
 }
 
+// TestInitBenefitsMatchesNaive: the Fenwick init and the pairwise sum of
+// pairWeight agree on heavy ties, ties at ±Inf included.
 func TestInitBenefitsMatchesNaive(t *testing.T) {
+	vals := []float64{0, 1, 2, 3, 4, 5, math.Inf(1), math.Inf(-1)}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(60) + 2
 		x := make([]float64, n)
 		y := make([]float64, n)
 		for i := range x {
-			x[i] = float64(rng.Intn(6)) // heavy ties
-			y[i] = float64(rng.Intn(6))
+			x[i] = vals[rng.Intn(len(vals))] // heavy ties
+			y[i] = vals[rng.Intn(len(vals))]
 		}
 		fast := initBenefits(x, y)
 		for i := 0; i < n; i++ {

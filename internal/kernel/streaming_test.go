@@ -62,7 +62,8 @@ func contains(vs []string, v string) bool {
 // TestFoldKeysMatchPartitionOf folds pairs conditioned on a numeric column
 // holding -0 beside +0 and two NaN payloads, alone and composed with a
 // categorical column, from chunks with disagreeing dictionaries. Stratum
-// keys, sizes and tables must be PartitionOf's and CodesFor's exactly.
+// keys, sizes, codes and the tables built from them must be PartitionOf's,
+// CodesFor's and FloatsFor's exactly.
 func TestFoldKeysMatchPartitionOf(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	otherNaN := math.Float64frombits(0x7ff8000000000001)
@@ -96,6 +97,7 @@ func TestFoldKeysMatchPartitionOf(t *testing.T) {
 		{Z: []string{"C", "N"}, X: "Y", Y: "V", Bins: 2},
 		{Z: []string{"N", "C"}, X: "V", Y: "Y", Bins: 3},
 		{X: "C", Y: "V", Bins: 2},
+		{Z: []string{"C"}, X: "N", Y: "V", Bins: 3},
 	}
 	fold, err := streamer.Fold(context.Background(), pairs)
 	if err != nil {
@@ -123,25 +125,48 @@ func TestFoldKeysMatchPartitionOf(t *testing.T) {
 			}
 			xc, kx := CodesFor(rel, p.X, p.Bins, rows)
 			yc, ky := CodesFor(rel, p.Y, p.Bins, rows)
-			if got, want := fold.Table(i, s), stats.TableFromCodes(xc, yc, kx, ky); !reflect.DeepEqual(got, want) {
+			if got, want := stats.TableFromCodes(fold.Codes(i, s)), stats.TableFromCodes(xc, yc, kx, ky); !reflect.DeepEqual(got, want) {
 				t.Fatalf("pair %d stratum %q: table %v, want %v", i, k, got, want)
+			}
+			if gx, gy, gkx, gky := fold.Codes(i, s); !reflect.DeepEqual(gx, xc) || !reflect.DeepEqual(gy, yc) || gkx != kx || gky != ky {
+				t.Fatalf("pair %d stratum %q: codes %v %v (%d, %d), want %v %v (%d, %d)", i, k, gx, gy, gkx, gky, xc, yc, kx, ky)
+			}
+			if p.X == "N" && p.Y == "V" {
+				gx, gy := fold.Floats(i, s)
+				if wx, wy := FloatsFor(rel, p.X, rows), FloatsFor(rel, p.Y, rows); !sameBits(gx, wx) || !sameBits(gy, wy) {
+					t.Fatalf("pair %d stratum %q: floats %v %v, want %v %v", i, k, gx, gy, wx, wy)
+				}
 			}
 		}
 	}
 }
 
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestFoldBuffersColumnsOnce: a family over two conditioning lists holds
-// each numeric column its gathered pairs read once, shared by both
-// partitions, which add only their row indices. The fold's retained heap
-// must stay within the bound DESIGN.md section 16 states, 8 bytes per row
-// per buffered numeric column plus 4 per gathering partition, give or take
-// a quarter for slice growth; a copy of the columns per partition would
-// need at least 64 bytes per row here.
+// each column its pairs read once, shared by both partitions, which add
+// only their row indices. The fold's retained heap must stay within the
+// bound DESIGN.md section 16 states, 8 bytes per row per numeric column
+// read, 4 per categorical column read and 4 per conditioning list, give or
+// take a quarter for slice growth; a copy of the columns per partition
+// would need at least 72 bytes per row here.
 func TestFoldBuffersColumnsOnce(t *testing.T) {
 	const rows = 1 << 16
 	rng := rand.New(rand.NewSource(1))
 	region := make([]string, rows)
 	shift := make([]string, rows)
+	grade := make([]string, rows)
 	nums := make([][]float64, 4)
 	for c := range nums {
 		nums[c] = make([]float64, rows)
@@ -149,6 +174,7 @@ func TestFoldBuffersColumnsOnce(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		region[i] = []string{"north", "south", "east", "west", "centre", "coast", "hills", "plain"}[rng.Intn(8)]
 		shift[i] = []string{"early", "late", "night", "day", "swing"}[rng.Intn(5)]
+		grade[i] = []string{"a", "b", "c"}[rng.Intn(3)]
 		for c := range nums {
 			nums[c][i] = rng.NormFloat64()
 		}
@@ -156,6 +182,7 @@ func TestFoldBuffersColumnsOnce(t *testing.T) {
 	rel := relation.MustNew(
 		relation.NewCategoricalColumn("Region", region),
 		relation.NewCategoricalColumn("Shift", shift),
+		relation.NewCategoricalColumn("Grade", grade),
 		relation.NewNumericColumn("N0", nums[0]),
 		relation.NewNumericColumn("N1", nums[1]),
 		relation.NewNumericColumn("N2", nums[2]),
@@ -187,9 +214,10 @@ func TestFoldBuffersColumnsOnce(t *testing.T) {
 	var pairs []StreamPair
 	for _, z := range []string{"Region", "Shift"} {
 		pairs = append(pairs,
-			StreamPair{Z: []string{z}, X: "N0", Y: "N1", Kendall: true},
-			StreamPair{Z: []string{z}, X: "N2", Y: "N3", Kendall: true},
+			StreamPair{Z: []string{z}, X: "N0", Y: "N1"},
+			StreamPair{Z: []string{z}, X: "N2", Y: "N3"},
 			StreamPair{Z: []string{z}, X: "N0", Y: "N3", Bins: 4},
+			StreamPair{Z: []string{z}, X: "Grade", Y: "N2", Bins: 4},
 		)
 	}
 	var before, after runtime.MemStats
@@ -204,7 +232,7 @@ func TestFoldBuffersColumnsOnce(t *testing.T) {
 	runtime.KeepAlive(fold)
 	runtime.KeepAlive(streamer) // and the chunks its scan serves
 	perRow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / rows
-	if bound := 1.25 * (8*4 + 4*2); perRow > bound {
+	if bound := 1.25 * (8*4 + 4*1 + 4*2); perRow > bound {
 		t.Fatalf("fold retains %.1f bytes per row, want at most %.0f", perRow, bound)
 	}
 	t.Logf("fold retains %.1f bytes per row", perRow)

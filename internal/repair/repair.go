@@ -523,13 +523,15 @@ func contributionDelta(x, y []float64, i int, target float64) float64 {
 	return after - before
 }
 
+// pairWeight is 1 for a concordant pair, -1 for discordant, 0 for tied.
+// It compares, never subtracts: Inf-Inf is NaN, which would turn a pair
+// tied at an infinity into a concordant or discordant one.
 func pairWeight(x1, y1, x2, y2 float64) float64 {
-	dx, dy := x1-x2, y1-y2
 	switch {
 	//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-	case dx == 0 || dy == 0:
+	case x1 == x2 || y1 == y2:
 		return 0
-	case (dx > 0) == (dy > 0):
+	case (x1 > x2) == (y1 > y2):
 		return 1
 	default:
 		return -1

@@ -8,6 +8,7 @@ import (
 	"scoded/internal/detect"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
+	"scoded/internal/stats"
 )
 
 // figure2 is the paper's example with the inserted error records.
@@ -279,5 +280,27 @@ func TestConditionalRepair(t *testing.T) {
 	}
 	if res.Corrections[0].Row != 3 || res.Corrections[0].New != "p" {
 		t.Errorf("expected row 3 corrected to p, got %+v", res.Corrections[0])
+	}
+}
+
+// TestContributionDeltaInfiniteTies: a pair tied at an infinity is a tie,
+// as KendallNaive counts it, so the O(n) delta of rewriting one y matches
+// a recount of nc - nd.
+func TestContributionDeltaInfiniteTies(t *testing.T) {
+	inf := math.Inf(1)
+	x := []float64{inf, inf, 1, 2, -inf, -inf}
+	for _, y := range [][]float64{{1, 2, 3, 0, 5, 4}, {inf, 2, -inf, 0, inf, -inf}} {
+		before := stats.KendallNaive(x, y)
+		for i := range x {
+			for _, target := range []float64{-inf, -1, 2.5, 6, inf} {
+				moved := append([]float64(nil), y...)
+				moved[i] = target
+				after := stats.KendallNaive(x, moved)
+				want := float64((after.Concordant - after.Discordant) - (before.Concordant - before.Discordant))
+				if got := contributionDelta(x, y, i, target); got != want {
+					t.Errorf("y %v: rewriting y[%d] to %v: delta %v, want %v", y, i, target, got, want)
+				}
+			}
+		}
 	}
 }

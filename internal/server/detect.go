@@ -197,11 +197,10 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 //
 // The statistics source follows from what the server observes, never from
 // the request: a cold store-backed dataset whose on-disk size exceeds the
-// whole resident budget is checked by detect.CheckAllStream — segment-
-// streamed sufficient statistics, never materializing the rows — when the
-// requested method is stream-eligible; everything else materializes
-// (lazily) and runs the resident pool path. The results are bit-identical
-// either way.
+// whole resident budget is checked by detect.CheckAllStream — one scan of
+// its segments, never materializing the rows — whatever the method;
+// everything else materializes (lazily) and runs the resident pool path.
+// The results are bit-identical either way.
 func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Dataset       string   `json:"dataset"`
@@ -280,7 +279,7 @@ func (s *Server) handleCheckAll(w http.ResponseWriter, r *http.Request) {
 		Workers: workers,
 		Hooks:   s.metrics.engineHooks("checkall"),
 	}
-	if stored && !resident && s.res.budget > 0 && diskBytes > s.res.budget && detect.StreamEligible(opts) {
+	if stored && !resident && s.res.budget > 0 && diskBytes > s.res.budget {
 		s.checkAllStream(w, r, req.Dataset, family, batch)
 		return
 	}

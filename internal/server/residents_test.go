@@ -170,9 +170,11 @@ func TestColdAppendStaysCold(t *testing.T) {
 
 // TestEvictionUnderConcurrentCheckAll hammers two datasets under a budget
 // smaller than either, so every release triggers eviction while sibling
-// requests hold references. Checks must all succeed (in-flight relations
-// are never invalidated), the LRU must end the run within its invariants,
-// and no goroutine may leak.
+// requests hold references. /v1/check always materializes; the checkall
+// beside it streams while its dataset is cold and reads the relation a
+// sibling holds while it is resident. Every request must succeed
+// (in-flight relations are never invalidated), the LRU must end the run
+// within its invariants, and no goroutine may leak.
 func TestEvictionUnderConcurrentCheckAll(t *testing.T) {
 	dir := t.TempDir()
 	seed := newDurableServer(t, dir)
@@ -195,20 +197,29 @@ func TestEvictionUnderConcurrentCheckAll(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			name := []string{"a", "b"}[g%2]
+			constraints := []string{"Price _||_ Mileage @ 0.05", "Price _||_ Mileage | Model @ 0.05"}
 			for i := 0; i < 6; i++ {
+				var res checkResultJSON
+				code := doJSON(t, h, "POST", "/v1/check", map[string]any{
+					"dataset":    name,
+					"constraint": constraints[i%2],
+					"method":     "spearman",
+				}, &res)
+				if code != http.StatusOK || res.Error != "" {
+					errs <- fmt.Sprintf("%s check %d: status %d, %+v", name, i, code, res)
+					return
+				}
 				var out struct {
 					Checked int `json:"checked"`
 					Errored int `json:"errored"`
 				}
-				// Spearman is not stream-eligible, so every request
-				// materializes and eviction churns.
-				code := doJSON(t, h, "POST", "/v1/checkall", map[string]any{
+				code = doJSON(t, h, "POST", "/v1/checkall", map[string]any{
 					"dataset":     name,
-					"constraints": []string{"Price _||_ Mileage @ 0.05", "Price _||_ Mileage | Model @ 0.05"},
+					"constraints": constraints,
 					"method":      "spearman",
 				}, &out)
 				if code != http.StatusOK || out.Errored != 0 || out.Checked != 2 {
-					errs <- fmt.Sprintf("%s run %d: status %d, %+v", name, i, code, out)
+					errs <- fmt.Sprintf("%s checkall %d: status %d, %+v", name, i, code, out)
 					return
 				}
 			}
@@ -224,13 +235,13 @@ func TestEvictionUnderConcurrentCheckAll(t *testing.T) {
 	// both datasets are cold and the tracker is empty.
 	s.evictOverBudget()
 	s.res.mu.Lock()
-	bytesRes, entries, evictions := s.res.bytes, len(s.res.entries), s.res.evictions
+	bytesRes, entries, evictions, misses := s.res.bytes, len(s.res.entries), s.res.evictions, s.res.misses
 	s.res.mu.Unlock()
 	if bytesRes != 0 || entries != 0 {
 		t.Fatalf("after drain: resident bytes=%d entries=%d, want 0/0", bytesRes, entries)
 	}
-	if evictions == 0 {
-		t.Fatal("no evictions happened under a 1-byte budget")
+	if misses == 0 || evictions == 0 {
+		t.Fatalf("%d materializations and %d evictions under a 1-byte budget, want both above 0", misses, evictions)
 	}
 	s.mu.RLock()
 	for _, name := range []string{"a", "b"} {
@@ -270,8 +281,9 @@ func newDurableServerWithBudget(t *testing.T, dir string, budget int64) *Server 
 }
 
 // TestCheckAllStreamedMatchesResident drives the path choice through the
-// HTTP layer: under a tiny budget checkall streams (no materialization at
-// all), and its response bytes equal the resident path's.
+// HTTP layer: under a tiny budget checkall streams whatever the method (no
+// materialization at all), and its response bytes equal the resident
+// path's.
 func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	dir := t.TempDir()
 	s1 := newDurableServer(t, dir)
@@ -285,6 +297,11 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 	wantCode, wantBody := doRaw(t, s1.Handler(), "POST", "/v1/checkall", "application/json", req)
 	if wantCode != http.StatusOK {
 		t.Fatalf("resident checkall status %d: %s", wantCode, wantBody)
+	}
+	pearson := []byte(`{"dataset":"cars","constraints":["Price _||_ Mileage @ 0.05","Price _||_ Mileage | Model @ 0.05","Model _||_ Price @ 0.05"],"method":"pearson"}`)
+	pearsonCode, pearsonBody := doRaw(t, s1.Handler(), "POST", "/v1/checkall", "application/json", pearson)
+	if pearsonCode != http.StatusOK {
+		t.Fatalf("resident pearson checkall status %d: %s", pearsonCode, pearsonBody)
 	}
 	s1.Close()
 
@@ -316,20 +333,16 @@ func TestCheckAllStreamedMatchesResident(t *testing.T) {
 		t.Fatalf("streamed checkall missing from the engine metrics:\n%s", body)
 	}
 
-	// A non-stream-eligible method under the same budget falls back to
-	// materialization rather than changing statistics.
-	exact := []byte(`{"dataset":"cars","constraints":["Model _||_ Price @ 0.05"],"method":"pearson"}`)
-	var out struct {
-		Errored int `json:"errored"`
-	}
-	if code := do(t, s2.Handler(), "POST", "/v1/checkall", "application/json", exact, &out); code != http.StatusOK {
-		t.Fatalf("pearson fallback status %d", code)
+	// Every method streams: Pearson under the same budget answers the
+	// resident bytes without materializing.
+	if code, body := doRaw(t, s2.Handler(), "POST", "/v1/checkall", "application/json", pearson); code != http.StatusOK || !bytes.Equal(body, pearsonBody) {
+		t.Fatalf("streamed pearson checkall status %d differs from resident:\n%s\nvs\n%s", code, body, pearsonBody)
 	}
 	s2.res.mu.Lock()
 	misses = s2.res.misses
 	s2.res.mu.Unlock()
-	if misses != 1 {
-		t.Fatalf("pearson checkall recorded %d materializations, want 1", misses)
+	if misses != 0 {
+		t.Fatalf("pearson checkall recorded %d materializations, want 0", misses)
 	}
 	// The path is not a request field: a body that still names a source is
 	// rejected as an unknown field.

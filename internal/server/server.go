@@ -70,9 +70,9 @@ type Options struct {
 	// relations held in memory. Store-backed datasets above the budget are
 	// lazily materialized on first touch and evicted least-recently-used
 	// once unreferenced; a /v1/checkall against a dataset larger than the
-	// whole budget streams segment-at-a-time instead of materializing
-	// (when its method is stream-eligible). Zero means unbounded — every
-	// dataset stays resident once touched.
+	// whole budget streams segment-at-a-time instead of materializing,
+	// whatever its method. Zero means unbounded — every dataset stays
+	// resident once touched.
 	ResidentBytes int64
 	// ScanWindowRows bounds the rows decoded per chunk on the streaming
 	// detection path, splitting oversized segments into windows. Zero

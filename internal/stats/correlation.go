@@ -9,7 +9,8 @@ import (
 // Pearson computes Pearson's product-moment correlation r between x and y,
 // together with the two-sided p-value from the t reference distribution with
 // n-2 degrees of freedom. The paper discusses Pearson's rho as the parametric
-// alternative to Kendall's tau (Section 4.3).
+// alternative to Kendall's tau (Section 4.3). r is undefined over NaN or
+// infinite values, so those are an error rather than a NaN p-value.
 func Pearson(x, y []float64) (r, p float64, err error) {
 	n := len(x)
 	if n != len(y) {
@@ -17,6 +18,11 @@ func Pearson(x, y []float64) (r, p float64, err error) {
 	}
 	if n < 3 {
 		return 0, 0, fmt.Errorf("stats: Pearson needs at least 3 observations, got %d", n)
+	}
+	for i := range x {
+		if !isFinite(x[i]) || !isFinite(y[i]) {
+			return 0, 0, fmt.Errorf("stats: Pearson input is not finite at %d", i)
+		}
 	}
 	mx, my := mean(x), mean(y)
 	var sxy, sxx, syy float64
@@ -48,10 +54,16 @@ func Pearson(x, y []float64) (r, p float64, err error) {
 }
 
 // Spearman computes Spearman's rank correlation rho_s: the Pearson
-// correlation of the (mid-)ranks, with the same t-based p-value.
+// correlation of the (mid-)ranks, with the same t-based p-value. NaN has no
+// rank, so it is an error; ±Inf ranks like any other value.
 func Spearman(x, y []float64) (rho, p float64, err error) {
 	if len(x) != len(y) {
 		return 0, 0, fmt.Errorf("stats: Spearman length mismatch %d vs %d", len(x), len(y))
+	}
+	for i := range x {
+		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
+			return 0, 0, fmt.Errorf("stats: Spearman input contains NaN at %d", i)
+		}
 	}
 	return Pearson(Ranks(x), Ranks(y))
 }
@@ -100,6 +112,8 @@ func SpearmanTest(x, y []float64) (TestResult, error) {
 	}
 	return TestResult{Statistic: math.Abs(r), P: p, N: len(x)}, nil
 }
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func mean(v []float64) float64 {
 	var s float64

@@ -41,6 +41,27 @@ func TestPearsonErrors(t *testing.T) {
 	if _, _, err := Pearson([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
 		t.Error("want error for length mismatch")
 	}
+	// Over NaN or an infinite value r is NaN; an error keeps that NaN
+	// p-value out of the verdict and the FDR pass.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, _, err := Pearson([]float64{1, bad, 3, 4}, []float64{1, 2, 3, 4}); err == nil {
+			t.Errorf("want error for x holding %v", bad)
+		}
+		if _, _, err := Pearson([]float64{1, 2, 3, 4}, []float64{1, 2, bad, 4}); err == nil {
+			t.Errorf("want error for y holding %v", bad)
+		}
+	}
+}
+
+func TestSpearmanNonFinite(t *testing.T) {
+	if _, _, err := Spearman([]float64{1, math.NaN(), 3, 4}, []float64{1, 2, 3, 4}); err == nil {
+		t.Error("want error for NaN")
+	}
+	// ±Inf has a rank: the extremes.
+	rho, _, err := Spearman([]float64{math.Inf(-1), 2, 3, math.Inf(1)}, []float64{1, 2, 3, 4})
+	if err != nil || rho != 1 {
+		t.Errorf("rho=%v err=%v, want 1 and no error", rho, err)
+	}
 }
 
 // R reference: cor.test(c(1,2,3,4,5,6), c(2,1,4,3,7,5)) gives

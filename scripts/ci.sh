@@ -36,17 +36,18 @@ echo "== bench module (vet, -race) =="
 
 # Gating: cross-path detection identity. The fuzz target's committed seeds
 # run in the suite above; ten seconds of fuzzing explores new relations,
-# splits and window sizes on which resident, streamed, after-append and FDR
-# runs must agree bit for bit. The explicit run first pins the streamed
-# family's shape: one scan per checkall, one manifest snapshot, allocations
-# that do not grow with the row count, and columns buffered once per fold.
-# Streamed and resident Kendall agree because both call the one stats
-# kernel on the same vectors; its bit-level match with the O(n^2) naive
-# reference, and the online table's match with TableFromCodes, run here too.
+# splits, window sizes and methods on which resident, streamed,
+# after-append and FDR runs must agree bit for bit. The explicit run first
+# pins every method's streamed identity and the streamed family's shape:
+# one scan per checkall, one manifest snapshot, allocations that do not
+# grow with the row count, and columns buffered once per fold. Streamed
+# and resident Kendall agree because both call the one stats kernel on the
+# same vectors; its bit-level match with the O(n^2) naive reference runs
+# here too.
 echo "== cross-path detection identity and fuzz =="
 go test -run 'CheckAllStream|Fold|ScanManifest|ReusesWindowSlabs' \
 	./internal/detect/ ./internal/kernel/ ./internal/store/
-go test -run 'Kendall|TablePartial' ./internal/stats/
+go test -run 'Kendall' ./internal/stats/
 go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
 
 # Gating: the drill-down delta-argmax identity properties under the race
@@ -82,9 +83,10 @@ go build -o "$smokedir/scoded-smoke" ./cmd/scoded-smoke
 "$smokedir/scoded-smoke" -serve "$smokedir/scoded-serve"
 
 # Gating: out-of-core detection against real processes (DESIGN.md section
-# 16). Phase 1 captures /v1/checkall from an unconstrained server; phase 2
+# 16). Phase 1 captures three /v1/checkall answers (the registered family,
+# a Spearman family, auto_exact) from an unconstrained server; phase 2
 # restarts the same data directory under GOMEMLIMIT with -resident-bytes 1
-# and asserts a byte-identical answer while /metrics proves the relation
+# and asserts byte-identical answers while /metrics proves the relation
 # was never materialized (resident bytes and misses stay 0).
 echo "== out-of-core detection smoke =="
 "$smokedir/scoded-smoke" -serve "$smokedir/scoded-serve" -mode oocore
