@@ -95,21 +95,129 @@ func TestDeltaGreedyMatchesLinear(t *testing.T) {
 // TestDeltaGreedyMatchesLinearLargeKc pins the exact hot path of the
 // acceptance benchmark — a K^c drill over a multi-stratum numeric
 // constraint where almost every record is removed — at a size big enough
-// for thousands of rounds.
+// for thousands of rounds. Those rounds reorder the packed tau strata by
+// swap-remove over and over, so the DSC and the K strategy run here too:
+// every tie-break must still land on the linear scan's record.
 func TestDeltaGreedyMatchesLinearLargeKc(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	d := multiStratumRelation(rng, 1200, 6)
-	for _, c := range []sc.SC{sc.MustParse("U _||_ V | Z"), sc.MustParse("A _||_ B | Z")} {
-		fast, err := TopK(d, c, 25, Options{Strategy: Kc})
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []sc.SC{sc.MustParse("U _||_ V | Z"), sc.MustParse("U ~||~ V | Z"), sc.MustParse("A _||_ B | Z")} {
+		for _, run := range []struct {
+			strat Strategy
+			k     int
+		}{{Kc, 25}, {K, 1}, {K, 100}} {
+			opts := Options{Strategy: run.strat}
+			fast, err := TopK(d, c, run.k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := TopKLinear(d, c, run.k, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(fast, ref) {
+				t.Errorf("%s/%s/k=%d: large drill diverged from linear greedy", c, run.strat, run.k)
+			}
 		}
-		ref, err := TopKLinear(d, c, 25, Options{Strategy: Kc})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// FuzzTopKMatchesLinear fuzzes the identity contract on tiny relations:
+// each record is one byte pair, drawn from heavy ties, ±0, ±Inf and NaN on
+// the numeric side and three levels on the categorical side, in 1–4 strata.
+// For both methods, K and K^c, both G objectives and both constraint
+// directions, TopK must equal TopKLinear, or fail with the same error; a
+// NaN in a tau drill must fail.
+func FuzzTopKMatchesLinear(f *testing.F) {
+	f.Add(byte(0), byte(2), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0x45, 0x67})
+	f.Add(byte(3), byte(5), []byte{0x33, 0x44, 0x33, 0x44, 0x77, 0x70, 0x07, 0x55, 0x21, 0x3c, 0x4b, 0x5a})
+	f.Add(byte(1), byte(1), []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99})
+	f.Add(byte(2), byte(3), []byte{0x0f, 0xf1, 0x23, 0x32, 0x45, 0x54, 0x67, 0x76})
+	vals := [16]float64{math.Inf(-1), -2, -1, math.Copysign(0, -1), 0, 1, 2, math.Inf(1),
+		0, 1, 1, 2, 3, 3, 5, math.NaN()}
+	f.Fuzz(func(t *testing.T, strata, k byte, data []byte) {
+		n := len(data) / 2
+		if n == 0 || n > 40 {
+			return
 		}
-		if !reflect.DeepEqual(fast, ref) {
-			t.Errorf("%s: large K^c drill diverged from linear greedy", c)
+		u, v := make([]float64, n), make([]float64, n)
+		a, b, z := make([]string, n), make([]string, n), make([]string, n)
+		hasNaN := false
+		for i := 0; i < n; i++ {
+			p, q := data[2*i], data[2*i+1]
+			u[i], v[i] = vals[p>>4], vals[q>>4]
+			hasNaN = hasNaN || math.IsNaN(u[i]) || math.IsNaN(v[i])
+			a[i] = fmt.Sprintf("a%d", p%3)
+			b[i] = fmt.Sprintf("b%d", q%3)
+			z[i] = fmt.Sprintf("z%d", int(p^q)%(1+int(strata)%4))
+		}
+		d := relation.MustNew(
+			relation.NewNumericColumn("U", u),
+			relation.NewNumericColumn("V", v),
+			relation.NewCategoricalColumn("A", a),
+			relation.NewCategoricalColumn("B", b),
+			relation.NewCategoricalColumn("Z", z),
+		)
+		for _, text := range []string{"U _||_ V | Z", "U ~||~ V | Z", "A _||_ B | Z", "A ~||~ B | Z"} {
+			c := sc.MustParse(text)
+			for _, strat := range []Strategy{K, Kc} {
+				for _, obj := range []GObjective{CellContribution, ExactDelta} {
+					opts := Options{Strategy: strat, GObjective: obj, MinStratumSize: 1}
+					label := fmt.Sprintf("%s/%s/%s/k=%d", c, strat, obj, 1+int(k)%n)
+					fast, fastErr := TopK(d, c, 1+int(k)%n, opts)
+					ref, refErr := TopKLinear(d, c, 1+int(k)%n, opts)
+					if fmt.Sprint(fastErr) != fmt.Sprint(refErr) {
+						t.Fatalf("%s: err %v vs %v", label, fastErr, refErr)
+					}
+					if hasNaN && c.X[0] == "U" && fastErr == nil {
+						t.Fatalf("%s: tau drill accepted NaN", label)
+					}
+					if fastErr == nil && !reflect.DeepEqual(fast, ref) {
+						t.Fatalf("%s: delta argmax diverged from linear greedy:\n%+v\nvs\n%+v", label, fast, ref)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestGScanSkipMatchesFullScan pins the G scan's skipping of cells on the
+// non-scoring side of O·N = R·C: on random small tables, where cells one
+// count from E are common, scan must pick the same cell with the same
+// score bits as scoring every cell, in all four greedy directions.
+func TestGScanSkipMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20000; trial++ {
+		st := &gStratum{kx: 1 + rng.Intn(4), ky: 1 + rng.Intn(4)}
+		st.counts = make([]float64, st.kx*st.ky)
+		st.rowMarg, st.colMarg = make([]float64, st.kx), make([]float64, st.ky)
+		for i := 0; i < st.kx; i++ {
+			for j := 0; j < st.ky; j++ {
+				o := float64(rng.Intn(6))
+				st.counts[st.cell(i, j)] = o
+				st.rowMarg[i] += o
+				st.colMarg[j] += o
+				st.n += o
+			}
+		}
+		for _, d := range []direction{{false, true, CellContribution}, {false, false, CellContribution},
+			{true, true, CellContribution}, {true, false, CellContribution}} {
+			fi, fj, full := -1, -1, 0.0 // gGreedyLinear's scan of this one stratum
+			for i := 0; i < st.kx; i++ {
+				for j := 0; j < st.ky; j++ {
+					if st.counts[st.cell(i, j)] <= 0 {
+						continue
+					}
+					if score := gScore(st, i, j, d.dependence, d.best, d.objective); fi == -1 || score > full {
+						fi, fj, full = i, j, score
+					}
+				}
+			}
+			score, ok := st.scan(d)
+			if ok != (fi != -1) || ok && (st.bestI != fi || st.bestJ != fj || math.Float64bits(score) != math.Float64bits(full)) {
+				t.Fatalf("trial %d %+v counts %v: scan picked (%d,%d)=%v, full scan (%d,%d)=%v",
+					trial, d, st.counts, st.bestI, st.bestJ, score, fi, fj, full)
+			}
 		}
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
+	"scoded/internal/segtree"
 )
 
 // Strategy selects the greedy search strategy of Section 5.2.
@@ -211,6 +212,55 @@ func TopKContext(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts
 func TopKLinear(d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
 	opts.linear = true
 	return TopK(d, c, k, opts)
+}
+
+// direction is one greedy run's search: the constraint's direction, K
+// (best) or K^c, and the G path's ranking signal.
+type direction struct {
+	dependence, best bool
+	objective        GObjective
+}
+
+// greedyStratum is one conditioning stratum of the delta greedy, tau's or
+// G's. Each keeps its current best candidate: scan finds it, and take
+// removes it, returns its row, and finds the next one in the same pass.
+type greedyStratum interface {
+	scan(d direction) (score float64, ok bool)
+	take(d direction) (row int, score float64, ok bool)
+}
+
+// greedyDelta is the delta-argmax form of tauGreedyLinear and gGreedyLinear
+// (DESIGN.md §10): an indexed max-heap holds one entry per stratum, its id
+// the stratum index and its key the stratum's best score. A removal changes
+// only its own stratum, so a round takes the top stratum's best and re-keys
+// that one entry. Untouched strata keep bit-identical keys, a stratum breaks
+// ties towards the candidate its linear scan meets first, and the heap
+// towards the lowest stratum index, so the rows are the linear scans'.
+func greedyDelta[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction) ([]int, error) {
+	h := segtree.NewMaxHeap()
+	for si, st := range strata {
+		if score, ok := st.scan(d); ok {
+			h.Push(si, score)
+		}
+	}
+	removed := make([]int, 0, rounds)
+	for round := 0; round < rounds; round++ {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
+		}
+		si, _, ok := h.Peek()
+		if !ok {
+			break
+		}
+		row, score, ok := strata[si].take(d)
+		removed = append(removed, row)
+		if ok {
+			h.Update(si, score)
+		} else {
+			h.Remove(si)
+		}
+	}
+	return removed, nil
 }
 
 // drillableRows returns the number of records in testable strata for the

@@ -249,6 +249,19 @@ func TestTauDSCDrilldownFindsImputedValues(t *testing.T) {
 	}
 }
 
+// initBenefits returns Algorithm 2's per-record concordant-minus-discordant
+// pair sums, through a one-shot scratch.
+func initBenefits(x, y []float64) []float64 {
+	recs := make([]tauRec, len(x))
+	var scratch tauScratch
+	scratch.initBenefits(recs, x, y)
+	benefit := make([]float64, len(x))
+	for i, r := range recs {
+		benefit[i] = float64(r.c)
+	}
+	return benefit
+}
+
 // TestInitBenefitsMatchesNaive: the Fenwick init and the pairwise sum of
 // pairWeight agree on heavy ties, ties at ±Inf included.
 func TestInitBenefitsMatchesNaive(t *testing.T) {

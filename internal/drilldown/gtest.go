@@ -9,7 +9,6 @@ import (
 	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
-	"scoded/internal/segtree"
 )
 
 // GObjective selects how the categorical (G-statistic) drill-down ranks
@@ -65,6 +64,8 @@ type gStratum struct {
 	cellStart []int32
 	cellHead  []int32
 	g         float64 // current G statistic of the stratum
+
+	bestI, bestJ int // the delta greedy's current best cell
 }
 
 // cell returns the flat ordinal of cell (i, j).
@@ -91,15 +92,17 @@ func gTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Optio
 	}
 
 	res := Result{Strategy: opts.resolve(c), InitialStat: sumG(strata)}
-	greedy := gGreedyDelta
-	if opts.linear {
-		greedy = gGreedyLinear
+	greedy := func(rounds int, best bool) ([]int, error) {
+		if opts.linear {
+			return gGreedyLinear(ctx, strata, rounds, c.Dependence, best, opts.GObjective)
+		}
+		return greedyDelta(ctx, strata, rounds, direction{c.Dependence, best, opts.GObjective})
 	}
 	switch res.Strategy {
 	case K:
-		res.Rows, err = greedy(ctx, strata, k, c.Dependence, true, opts.GObjective)
+		res.Rows, err = greedy(k, true)
 	default:
-		_, err = greedy(ctx, strata, total-k, c.Dependence, false, opts.GObjective)
+		_, err = greedy(total-k, false)
 		res.Rows = gSurvivors(strata, k)
 	}
 	if err != nil {
@@ -251,7 +254,7 @@ func gScore(st *gStratum, i, j int, dependence, best bool, objective GObjective)
 // direction follows the constraint type: for an ISC the statistic (or
 // contribution) should fall, for a DSC it should rise.
 //
-// Retained as the reference implementation behind TopKLinear; gGreedyDelta
+// Retained as the reference implementation behind TopKLinear; greedyDelta
 // must match it row for row.
 func gGreedyLinear(ctx context.Context, strata []*gStratum, rounds int, dependence, best bool, objective GObjective) ([]int, error) {
 	removed := make([]int, 0, rounds)
@@ -282,65 +285,47 @@ func gGreedyLinear(ctx context.Context, strata []*gStratum, rounds int, dependen
 	return removed, nil
 }
 
-// gGreedyDelta is the incremental argmax form of the categorical greedy:
-// every (stratum, cell) candidate gets a global ordinal in (stratum, i, j)
-// lexicographic order and lives in one indexed max-heap (segtree.MaxHeap).
-// Removing a record re-scores only the touched stratum's cells — the other
-// strata's counts, marginals and N are untouched, so their cached scores
-// stay bit-identical — making each round O(c_z log C) in cell counts
-// (cells ≪ rows; Section 5.3's group-based optimization) instead of the
-// linear scan's O(C_total) over every stratum.
-//
-// Tie-breaking matches gGreedyLinear: the heap prefers the smallest ordinal
-// among equal scores, which is exactly the seed scan's first-hit order.
-func gGreedyDelta(ctx context.Context, strata []*gStratum, rounds int, dependence, best bool, objective GObjective) ([]int, error) {
-	// Cells get global ordinals in (stratum, i, j) lexicographic order;
-	// because ordinals are assigned contiguously per stratum, a stratum's
-	// candidates are exactly the ordinal range [base[si], base[si+1]) — no
-	// per-stratum ordinal lists to grow.
-	type cellRef struct{ si, i, j int }
-	base := make([]int, len(strata)+1)
-	for si, st := range strata {
-		base[si+1] = base[si] + st.kx*st.ky
+// scan finds the stratum's best cell: the highest score and, among equal
+// scores, the first in (i, j) order, as gGreedyLinear's strict > does.
+// A CellContribution score ±2·O·ln(O/E), E = R·C/N, can exceed 0 only on
+// one side of O·N = R·C, so a first pass scores those cells alone: the
+// products are exact below 2^26 and rounding is monotone, so any other cell
+// scores at most 0 and cannot beat or tie a positive best. If nothing
+// scores above 0, a second pass scores every cell.
+func (st *gStratum) scan(d direction) (float64, bool) {
+	skip := d.objective == CellContribution && st.n < 1<<26
+	side := 1.0 // the sign of O·N - R·C that can score above 0
+	if d.dependence == d.best {
+		side = -1
 	}
-	refs := make([]cellRef, 0, base[len(strata)])
-	h := segtree.NewMaxHeap()
-	for si, st := range strata {
+	for {
+		st.bestI = -1
+		var top float64
 		for i := 0; i < st.kx; i++ {
 			for j := 0; j < st.ky; j++ {
-				ord := len(refs)
-				refs = append(refs, cellRef{si, i, j})
-				if st.counts[st.cell(i, j)] > 0 {
-					h.Push(ord, gScore(st, i, j, dependence, best, objective))
+				o := st.counts[st.cell(i, j)]
+				if o <= 0 || skip && side*(o*st.n-st.rowMarg[i]*st.colMarg[j]) <= 0 {
+					continue
+				}
+				score := gScore(st, i, j, d.dependence, d.best, d.objective)
+				if st.bestI == -1 || score > top {
+					st.bestI, st.bestJ, top = i, j, score
 				}
 			}
 		}
+		if !skip || top > 0 {
+			return top, st.bestI != -1
+		}
+		skip = false
 	}
-	removed := make([]int, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
-		}
-		ord, _, ok := h.Peek()
-		if !ok {
-			break
-		}
-		sel := refs[ord]
-		st := strata[sel.si]
-		removed = append(removed, st.remove(sel.i, sel.j))
-		// Re-key the touched stratum: N and two marginals changed, so every
-		// live cell's score must be refreshed; a cell emptied by the removal
-		// leaves the candidate set for good (counts never grow back).
-		for o := base[sel.si]; o < base[sel.si+1]; o++ {
-			ref := refs[o]
-			if st.counts[st.cell(ref.i, ref.j)] <= 0 {
-				h.Remove(o)
-				continue
-			}
-			h.Push(o, gScore(st, ref.i, ref.j, dependence, best, objective))
-		}
-	}
-	return removed, nil
+}
+
+// take removes one record of the best cell and rescans: N and two marginals
+// changed, so every live cell's score did.
+func (st *gStratum) take(d direction) (int, float64, bool) {
+	row := st.remove(st.bestI, st.bestJ)
+	score, ok := st.scan(d)
+	return row, score, ok
 }
 
 // gSurvivors returns the remaining rows of all strata in original order. k

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/segtree"
@@ -16,38 +18,24 @@ import (
 type tauStratum struct {
 	rows    []int     // original row indices
 	x, y    []float64 // column values, parallel to rows
-	contrib []float64 // per-record concordant-minus-discordant pair sum
+	contrib []float64 // per-record concordant-minus-discordant pair sum (linear path)
 	alive   []bool
 	s       float64 // current nc - nd of the stratum
 	nAlive  int
 
-	// Delta-argmax cache (DESIGN.md §10): the stratum's current best
-	// candidate under the active greedy direction. Valid between rounds —
-	// removing a record only mutates its own stratum, so only the touched
-	// stratum is rescanned.
-	bestIdx   int
-	bestScore float64
+	// The delta greedy's packed stratum (DESIGN.md §10): the live records
+	// in any order, each removal filling its hole with the last one, and
+	// the index in live of the current best candidate.
+	live []tauRec
+	best int
 }
 
-// rescanBest recomputes the stratum's best candidate exactly as one round of
-// the seed linear scan would: lowest alive index among the maximal scores
-// (strict > keeps the first). It reports whether any candidate remains.
-func (st *tauStratum) rescanBest(dependence, best bool) bool {
-	st.bestIdx = -1
-	for i, ok := range st.alive {
-		if !ok {
-			continue
-		}
-		impr := improvement(st.s, st.contrib[i], dependence)
-		score := impr
-		if !best {
-			score = -impr
-		}
-		if st.bestIdx == -1 || score > st.bestScore {
-			st.bestIdx, st.bestScore = i, score
-		}
-	}
-	return st.bestIdx != -1
+// tauRec is one live record of a packed stratum. Pair weights are read off
+// the dense ranks, so a round is integer work over live records only.
+type tauRec struct {
+	xr, yr int32 // dense ranks of x and y within the stratum
+	c      int32 // concordant-minus-discordant pair sum over live records
+	pos    int32 // index into rows: the linear scan's order
 }
 
 // tauTopK runs the tau-statistic drill-down (Algorithm 2 plus the K / K^c
@@ -65,52 +53,62 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 	if total < k {
 		return Result{}, fmt.Errorf("drilldown: only %d records in testable strata, need k=%d", total, k)
 	}
-	// One arena per drill-down: the per-stratum contrib and alive slices are
-	// carved out of two shared buffers, and the benefit-initialization
-	// scratch (sort order, rank buffers, Fenwick trees) is reused across
-	// strata, so the setup cost is a handful of allocations independent of
-	// the stratum count.
-	contribArena := make([]float64, total)
+	// One arena per drill-down: the per-stratum packed records and alive
+	// flags (and the linear reference's float contributions) are carved out
+	// of shared buffers, and the benefit-initialization scratch (sort order,
+	// rank buffers, Fenwick trees) is reused across strata, so the setup cost
+	// is a handful of allocations independent of the stratum count.
+	recArena := make([]tauRec, total)
 	aliveArena := make([]bool, total)
+	var contribArena []float64
+	if opts.linear {
+		contribArena = make([]float64, total)
+	}
 	var scratch tauScratch
 	used := 0
 	for si, rows := range strataRows {
 		st := &tauStratum{rows: rows}
-		// Cached column values are shared read-only: the greedy loop only
-		// reads x and y, and mutates the stratum-private contrib slice.
-		st.x, err = opts.Cache.FloatsContext(ctx, d, c.X[0], strataKeys[si], rows)
-		if err != nil {
-			return Result{}, fmt.Errorf("drilldown: %w", err)
+		// Cached column values are shared read-only: the greedy loops only
+		// read x and y, and mutate the stratum-private records.
+		if st.x, err = orderedFloats(ctx, d, opts.Cache, c.X[0], strataKeys[si], rows); err != nil {
+			return Result{}, err
 		}
-		st.y, err = opts.Cache.FloatsContext(ctx, d, c.Y[0], strataKeys[si], rows)
-		if err != nil {
-			return Result{}, fmt.Errorf("drilldown: %w", err)
+		if st.y, err = orderedFloats(ctx, d, opts.Cache, c.Y[0], strataKeys[si], rows); err != nil {
+			return Result{}, err
 		}
-		st.contrib = contribArena[used : used+len(rows) : used+len(rows)]
-		st.alive = aliveArena[used : used+len(rows) : used+len(rows)]
-		used += len(rows)
-		scratch.initBenefits(st.contrib, st.x, st.y)
-		for i := range st.alive {
+		end := used + len(rows)
+		st.live = recArena[used:end:end]
+		st.alive = aliveArena[used:end:end]
+		scratch.initBenefits(st.live, st.x, st.y)
+		var sum int64
+		for i, r := range st.live {
 			st.alive[i] = true
+			sum += int64(r.c)
+		}
+		if opts.linear {
+			st.contrib = contribArena[used:end:end]
+			for i, r := range st.live {
+				st.contrib[i] = float64(r.c)
+			}
 		}
 		st.nAlive = len(rows)
-		for _, b := range st.contrib {
-			st.s += b
-		}
-		st.s /= 2 // each pair counted from both endpoints
+		st.s = float64(sum / 2) // each pair counted from both endpoints
+		used = end
 		strata = append(strata, st)
 	}
 
 	res := Result{Strategy: opts.resolve(c), InitialStat: sumStats(strata)}
-	greedy := tauGreedyDelta
-	if opts.linear {
-		greedy = tauGreedyLinear
+	greedy := func(rounds int, best bool) ([]int, error) {
+		if opts.linear {
+			return tauGreedyLinear(ctx, strata, rounds, c.Dependence, best)
+		}
+		return greedyDelta(ctx, strata, rounds, direction{dependence: c.Dependence, best: best})
 	}
 	switch res.Strategy {
 	case K:
-		res.Rows, err = greedy(ctx, strata, k, c.Dependence, true)
+		res.Rows, err = greedy(k, true)
 	default:
-		_, err = greedy(ctx, strata, total-k, c.Dependence, false)
+		_, err = greedy(total-k, false)
 		res.Rows = survivors(strata, k)
 	}
 	if err != nil {
@@ -118,6 +116,20 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 	}
 	res.FinalStat = sumStats(strata)
 	return res, nil
+}
+
+// orderedFloats returns a stratum's values of a numeric column. It rejects
+// NaN, as stats.Kendall does for detection: NaN has no rank, so Algorithm
+// 2's init and the greedy rounds would disagree on its pair weights.
+func orderedFloats(ctx context.Context, d *relation.Relation, cache *kernel.Cache, col, rowsKey string, rows []int) ([]float64, error) {
+	v, err := cache.FloatsContext(ctx, d, col, rowsKey, rows)
+	if err != nil {
+		return nil, fmt.Errorf("drilldown: %w", err)
+	}
+	if slices.ContainsFunc(v, math.IsNaN) {
+		return nil, fmt.Errorf("drilldown: column %q contains NaN; tau needs ordered values", col)
+	}
+	return v, nil
 }
 
 func sumStats(strata []*tauStratum) float64 {
@@ -179,47 +191,6 @@ func tauGreedyLinear(ctx context.Context, strata []*tauStratum, rounds int, depe
 	return removed, nil
 }
 
-// tauGreedyDelta is the incremental argmax form of the greedy loop: each
-// stratum caches its best candidate and an indexed max-heap over strata
-// (segtree.MaxHeap, ids = stratum indices) yields the global argmax in
-// O(log S). Removing a record only mutates its own stratum, so each round
-// rescans and re-keys exactly one stratum: O(n_z + log S) per round instead
-// of the linear scan's O(n_total).
-//
-// Selection is row-for-row identical to tauGreedyLinear: untouched strata
-// keep bit-identical cached scores (their inputs are unchanged and the score
-// function is deterministic), within-stratum ties keep the lowest record
-// index (rescanBest's strict >), and cross-strata ties keep the lowest
-// stratum index (the heap's deterministic id tie-break).
-func tauGreedyDelta(ctx context.Context, strata []*tauStratum, rounds int, dependence, best bool) ([]int, error) {
-	h := segtree.NewMaxHeap()
-	for si, st := range strata {
-		if st.rescanBest(dependence, best) {
-			h.Push(si, st.bestScore)
-		}
-	}
-	removed := make([]int, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
-		}
-		si, _, ok := h.Peek()
-		if !ok {
-			break
-		}
-		st := strata[si]
-		selIdx := st.bestIdx
-		st.removeRecord(selIdx)
-		removed = append(removed, st.rows[selIdx])
-		if st.rescanBest(dependence, best) {
-			h.Update(si, st.bestScore)
-		} else {
-			h.Remove(si)
-		}
-	}
-	return removed, nil
-}
-
 // removeRecord takes record i out of the stratum and updates the surviving
 // contributions: pair weights with the removed record disappear.
 func (st *tauStratum) removeRecord(i int) {
@@ -261,6 +232,60 @@ func pairWeight(x1, y1, x2, y2 float64) float64 {
 	}
 }
 
+// scan finds the stratum's first best candidate; see sweep.
+func (st *tauStratum) scan(d direction) (float64, bool) {
+	return st.sweep(tauRec{}, 0, d)
+}
+
+// take removes the current best candidate, fills its slot with the last
+// live record, and sweeps the survivors once for the next best.
+func (st *tauStratum) take(d direction) (int, float64, bool) {
+	gone := st.live[st.best]
+	last := len(st.live) - 1
+	st.live[st.best] = st.live[last]
+	st.live = st.live[:last]
+	st.alive[gone.pos] = false
+	st.s -= float64(gone.c)
+	score, ok := st.sweep(gone, 1, d)
+	return st.rows[gone.pos], score, ok
+}
+
+// sweep is a delta-greedy round's one pass over the stratum. It subtracts
+// each survivor's pair weight with gone, times w (0 when nothing was
+// removed): the sign of the product of their rank differences, so a tie
+// weighs 0. It also finds the best candidate: the highest score and, among
+// equal scores, the lowest position, which is the record tauGreedyLinear's
+// strict > meets first. Scores are exact integers, equal to the linear
+// scan's float improvements.
+func (st *tauStratum) sweep(gone tauRec, w int64, d direction) (float64, bool) {
+	neg := int64(0) // all ones when a DSC or K^c, not both, negates the score
+	if d.dependence == d.best {
+		neg = -1
+	}
+	s := int64(st.s)
+	abs := abs64(s)
+	live, best, top := st.live, -1, int64(math.MinInt64)
+	for i := range live {
+		r := &live[i]
+		r.c -= int32(sign64(int64(r.xr-gone.xr) * int64(r.yr-gone.yr) * w))
+		impr := abs - abs64(s-int64(r.c))
+		score := (impr ^ neg) - neg // impr, or -impr when neg is all ones
+		// |score| <= |c| < 2^31, so the key orders by score, then lowest pos.
+		if key := score<<32 | int64(math.MaxInt32-r.pos); key > top {
+			best, top = i, key
+		}
+	}
+	st.best = best
+	return float64(top >> 32), best >= 0
+}
+
+func sign64(v int64) int64 { return v>>63 | int64(uint64(-v)>>63) }
+
+func abs64(v int64) int64 {
+	m := v >> 63
+	return (v ^ m) - m
+}
+
 // survivors returns the alive rows of all strata, in original order. k is
 // the expected survivor count (a capacity hint).
 func survivors(strata []*tauStratum, k int) []int {
@@ -286,23 +311,25 @@ type tauScratch struct {
 	t1, t2 *segtree.Fenwick
 }
 
-// initBenefits computes every record's concordant-minus-discordant pair sum
-// into benefit (parallel to x and y) in O(n log n) with two Fenwick-tree
-// passes over the rank-compressed Y axis, exactly as in Algorithm 2: the
-// ascending pass accounts for pairs with smaller X, the descending pass for
-// pairs with larger X. Records tied on X are processed as a block — queried
-// before any of the block is inserted — so X-ties contribute zero weight.
-func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
+// initBenefits fills recs (parallel to x and y) with every record's dense x
+// and y ranks, its position, and its concordant-minus-discordant pair sum,
+// computed in O(n log n) with two Fenwick-tree passes over the
+// rank-compressed Y axis, exactly as in Algorithm 2: the ascending pass
+// accounts for pairs with smaller X, the descending pass for pairs with
+// larger X. Records tied on X are processed as a block — queried before any
+// of the block is inserted — so X-ties contribute zero weight; the blocks'
+// ordinals are the x ranks.
+func (ts *tauScratch) initBenefits(recs []tauRec, x, y []float64) {
 	n := len(x)
-	for i := range benefit {
-		benefit[i] = 0
-	}
 	if n == 0 {
 		return
 	}
 	var distinct int
 	ts.ranks, distinct, ts.sorted = segtree.CompressRanksInto(y, ts.ranks, ts.sorted)
 	yRank := ts.ranks
+	for i, r := range yRank {
+		recs[i] = tauRec{yr: int32(r), pos: int32(i)}
+	}
 
 	if cap(ts.order) < n {
 		ts.order = make([]int, n)
@@ -319,7 +346,7 @@ func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
 	// Ascending pass: tree T1 holds records with strictly smaller X.
 	t1 := ts.t1
 	t1.Reset(distinct)
-	for i := 0; i < n; {
+	for i, xr := 0, int32(0); i < n; xr++ {
 		j := i
 		//scoded:lint-ignore floatcmp X-runs group exactly-equal sorted data values
 		for j+1 < n && x[order[j+1]] == x[order[i]] {
@@ -329,7 +356,8 @@ func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
 			id := order[m]
 			nc := t1.CountBelow(yRank[id])
 			nd := t1.CountAbove(yRank[id])
-			benefit[id] += float64(nc - nd)
+			recs[id].xr = xr
+			recs[id].c += int32(nc - nd)
 		}
 		for m := i; m <= j; m++ {
 			t1.Insert(yRank[order[m]], 1)
@@ -350,21 +378,11 @@ func (ts *tauScratch) initBenefits(benefit []float64, x, y []float64) {
 			id := order[m]
 			nc := t2.CountAbove(yRank[id])
 			nd := t2.CountBelow(yRank[id])
-			benefit[id] += float64(nc - nd)
+			recs[id].c += int32(nc - nd)
 		}
 		for m := j; m <= i; m++ {
 			t2.Insert(yRank[order[m]], 1)
 		}
 		i = j - 1
 	}
-}
-
-// initBenefits computes every record's concordant-minus-discordant pair sum
-// with a one-shot scratch; kept for the property tests that pin the fast
-// initialization against the naive O(n²) pair count.
-func initBenefits(x, y []float64) []float64 {
-	benefit := make([]float64, len(x))
-	var scratch tauScratch
-	scratch.initBenefits(benefit, x, y)
-	return benefit
 }

@@ -571,3 +571,21 @@ func TestDrilldownMultiConstraint(t *testing.T) {
 		t.Errorf("error %q should name the failing constraint", apiErr.Error)
 	}
 }
+
+// TestDrilldownNaN422: a CSV "NaN" parses as a number, but a tau drill over
+// it is a client error naming the column, not rows or a crashed request.
+func TestDrilldownNaN422(t *testing.T) {
+	h := New(Options{}).Handler()
+	csv := "Mileage,Price\n1,2\n2,1\nNaN,3\n4,3\n3,5\n5,4\n"
+	if code := do(t, h, "POST", "/v1/datasets?name=nan", "text/csv", []byte(csv), nil); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	code := doJSON(t, h, "POST", "/v1/drilldown",
+		map[string]any{"dataset": "nan", "constraint": "Price _||_ Mileage", "k": 2}, &apiErr)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(apiErr.Error, `"Mileage"`) {
+		t.Errorf("status %d, error %q; want 422 naming Mileage", code, apiErr.Error)
+	}
+}

@@ -53,10 +53,13 @@ go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
 # Gating: the drill-down delta-argmax identity properties under the race
 # detector. These are part of the suite above; the explicit run keeps the
 # fast path's row-for-row contract visible even if the full suite is ever
-# scoped down.
-echo "== drill-down identity (-race) =="
+# scoped down. Ten seconds of fuzzing then explores new tiny relations
+# (heavy ties, ±0, ±Inf, NaN, 1-4 strata) on which TopK must equal
+# TopKLinear for both methods, strategies, objectives and directions.
+echo "== drill-down identity (-race) and fuzz =="
 go test -race -run 'Delta|MultiTopK|WorkloadIdentity' \
 	./internal/drilldown/ ./internal/drillbench/
+go test -run='^$' -fuzz=FuzzTopKMatchesLinear -fuzztime=10s ./internal/drilldown
 
 # Gating: the streaming incremental kernels' differential harness under
 # the race detector — every insert/evict step of the fuzz seeds and the
