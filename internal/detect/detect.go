@@ -607,13 +607,3 @@ func testPair(ctx context.Context, st strata, i int, method Method, opts Options
 		return stats.TestResult{}, fmt.Errorf("detect: unsupported method %s", method)
 	}
 }
-
-// DiscretizeQuantile bins values into at most `bins` quantile bins, returning
-// dense bin codes and the number of bins actually used. Ties at bin
-// boundaries collapse bins rather than splitting equal values. The
-// implementation lives in the kernel package so the cached and uncached
-// detection paths share one coding function; this forwarder keeps the
-// historical API for the discovery, repair and experiment code.
-func DiscretizeQuantile(vals []float64, bins int) ([]int, int) {
-	return kernel.DiscretizeQuantile(vals, bins)
-}

@@ -1,9 +1,12 @@
 package detect
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
@@ -234,6 +237,56 @@ func TestCheckConditionalNumericStouffer(t *testing.T) {
 	}
 }
 
+// TestCheckStratifiedGHandComputed pins §4.3's conditional G-test on
+// three strata of X and Y given Z:
+//
+//	Z = a: [[3,1],[1,3]]  (8 rows)
+//	Z = b: [[2,2],[2,2]]  (8 rows)
+//	Z = c: 3 rows, below the default MinStratumSize of 5, so skipped.
+//
+// Every margin of a and b is 4 of 8, so every expected count is E = 2.
+// G = 2 Σ O ln(O/E) gives G_a = 2(2·3 ln(3/2) + 2·1 ln(1/2))
+// = 4(3 ln(3/2) − ln 2) = 4 ln(27/16) and G_b = 0, each with
+// df (2−1)(2−1) = 1. The strata sum to G = 4 ln(27/16) ≈ 2.092993 on
+// df = 2. The χ² survival function on 2 df is e^(−G/2), so
+// p = (16/27)² = 256/729 ≈ 0.351166.
+func TestCheckStratifiedGHandComputed(t *testing.T) {
+	var z, x, y []string
+	add := func(stratum string, cells [2][2]int) {
+		for i, row := range cells {
+			for j, count := range row {
+				for k := 0; k < count; k++ {
+					z = append(z, stratum)
+					x = append(x, fmt.Sprint("x", i))
+					y = append(y, fmt.Sprint("y", j))
+				}
+			}
+		}
+	}
+	add("a", [2][2]int{{3, 1}, {1, 3}})
+	add("b", [2][2]int{{2, 2}, {2, 2}})
+	add("c", [2][2]int{{1, 1}, {0, 1}})
+	d := relation.MustNew(
+		relation.NewCategoricalColumn("Z", z),
+		relation.NewCategoricalColumn("X", x),
+		relation.NewCategoricalColumn("Y", y),
+	)
+	res, err := Check(d, sc.Approximate{SC: sc.MustParse("X _||_ Y | Z"), Alpha: 0.05}, Options{Method: G})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantG, wantP := 4*math.Log(27.0/16), 256.0/729
+	if math.Abs(res.Test.Statistic-wantG) > 1e-14 || res.Test.DF != 2 || math.Abs(res.Test.P-wantP) > 1e-14 {
+		t.Fatalf("G = %.17g df %d p %.17g, want %.17g df 2 p %.17g", res.Test.Statistic, res.Test.DF, res.Test.P, wantG, wantP)
+	}
+	if len(res.Strata) != 3 || res.Strata[0].Skipped || res.Strata[1].Skipped || !res.Strata[2].Skipped {
+		t.Fatalf("strata = %+v, want a and b tested and c skipped", res.Strata)
+	}
+	if res.Violated {
+		t.Fatalf("p = %v ≥ 0.05 must not violate the ISC", res.Test.P)
+	}
+}
+
 func TestCheckSmallStrataSkipped(t *testing.T) {
 	d := relation.MustNew(
 		relation.NewCategoricalColumn("Z", []string{"a", "a", "a", "a", "a", "a", "b"}),
@@ -435,13 +488,13 @@ func TestMethodString(t *testing.T) {
 
 func TestDiscretizeQuantile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8}
-	codes, k := DiscretizeQuantile(vals, 4)
+	codes, k := kernel.DiscretizeQuantile(vals, 4)
 	if k != 4 {
 		t.Fatalf("bins = %d, want 4", k)
 	}
 	// Equal values must share a bin.
 	tied := []float64{1, 1, 1, 1, 1, 2}
-	codes, k = DiscretizeQuantile(tied, 4)
+	codes, k = kernel.DiscretizeQuantile(tied, 4)
 	first := codes[0]
 	for i := 1; i < 5; i++ {
 		if codes[i] != first {
@@ -451,11 +504,11 @@ func TestDiscretizeQuantile(t *testing.T) {
 	if k < 1 || k > 4 {
 		t.Errorf("k = %d", k)
 	}
-	if c, k := DiscretizeQuantile(nil, 4); c != nil || k != 0 {
+	if c, k := kernel.DiscretizeQuantile(nil, 4); c != nil || k != 0 {
 		t.Error("empty input should return empty")
 	}
 	// Constant column collapses to one bin.
-	_, k = DiscretizeQuantile([]float64{5, 5, 5, 5}, 3)
+	_, k = kernel.DiscretizeQuantile([]float64{5, 5, 5, 5}, 3)
 	if k != 1 {
 		t.Errorf("constant column bins = %d, want 1", k)
 	}
@@ -467,7 +520,7 @@ func TestDiscretizeQuantileBalance(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.NormFloat64()
 	}
-	codes, k := DiscretizeQuantile(vals, 4)
+	codes, k := kernel.DiscretizeQuantile(vals, 4)
 	if k != 4 {
 		t.Fatalf("bins = %d", k)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"scoded/internal/detect"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/stats"
 )
@@ -202,7 +202,7 @@ func columnValues(d *relation.Relation, name string, bins int) ([]int, map[int]s
 		return codes, labels
 	}
 	vals := col.Floats()
-	codes, _ := detect.DiscretizeQuantile(vals, bins)
+	codes, _ := kernel.DiscretizeQuantile(vals, bins)
 	// Label each bin with its observed value range.
 	type rng struct{ lo, hi float64 }
 	ranges := make(map[int]*rng)

@@ -56,16 +56,6 @@ func At(flagged []int, truth []bool) (Metrics, error) {
 // strategy) recompute per k.
 type Ranker func(k int) ([]int, error)
 
-// PrefixRanker adapts a fixed full ranking to a Ranker.
-func PrefixRanker(ranking []int) Ranker {
-	return func(k int) ([]int, error) {
-		if k < 0 || k > len(ranking) {
-			return nil, fmt.Errorf("eval: k=%d out of range (0..%d)", k, len(ranking))
-		}
-		return ranking[:k], nil
-	}
-}
-
 // Curve sweeps a Ranker over the given K values.
 func Curve(r Ranker, truth []bool, ks []int) ([]Metrics, error) {
 	out := make([]Metrics, 0, len(ks))

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -68,7 +69,13 @@ func TestAtValidation(t *testing.T) {
 func TestPrefixRankerAndCurve(t *testing.T) {
 	truth := []bool{true, true, false, false, true}
 	ranking := []int{0, 1, 4, 2, 3} // perfect ranking
-	curve, err := Curve(PrefixRanker(ranking), truth, []int{1, 3, 5})
+	prefix := Ranker(func(k int) ([]int, error) {
+		if k > len(ranking) {
+			return nil, fmt.Errorf("k=%d beyond the ranking", k)
+		}
+		return ranking[:k], nil
+	})
+	curve, err := Curve(prefix, truth, []int{1, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +91,8 @@ func TestPrefixRankerAndCurve(t *testing.T) {
 	if curve[2].Precision != 3.0/5.0 {
 		t.Errorf("precision@5 = %v", curve[2].Precision)
 	}
-	if _, err := Curve(PrefixRanker(ranking), truth, []int{10}); err == nil {
-		t.Error("want error for k beyond ranking")
+	if _, err := Curve(prefix, truth, []int{10}); err == nil {
+		t.Error("want the ranker's error for k beyond ranking")
 	}
 }
 

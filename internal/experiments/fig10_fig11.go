@@ -7,11 +7,11 @@ import (
 	"scoded/internal/baselines/dboost"
 	"scoded/internal/baselines/dcdetect"
 	"scoded/internal/datasets"
-	"scoded/internal/detect"
 	"scoded/internal/drilldown"
 	"scoded/internal/errgen"
 	"scoded/internal/eval"
 	"scoded/internal/ic"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
@@ -251,7 +251,7 @@ func discretizeConditioning(d *relation.Relation, c sc.SC, bins int) (*relation.
 			newZ[i] = z
 			continue
 		}
-		codes, _ := detect.DiscretizeQuantile(col.Floats(), bins)
+		codes, _ := kernel.DiscretizeQuantile(col.Floats(), bins)
 		labels := make([]string, len(codes))
 		for j, code := range codes {
 			labels[j] = fmt.Sprintf("bin%d", code)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
@@ -276,11 +277,9 @@ func TestProposition2FDEntailsMIMaximalDSC(t *testing.T) {
 		t.Fatal("FD should hold by construction")
 	}
 	mi := func(a, b string) float64 {
-		ct, err := d.Contingency(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats.MutualInformation(stats.Table(ct.Counts))
+		xc, kx := kernel.CodesFor(d, a, 0, nil)
+		yc, ky := kernel.CodesFor(d, b, 0, nil)
+		return stats.MutualInformation(stats.TableFromCodes(xc, yc, kx, ky))
 	}
 	ixy := mi("X", "Y")
 	iwy := mi("W", "Y")

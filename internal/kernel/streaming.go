@@ -45,7 +45,7 @@ type StreamColumn struct {
 
 // StreamSource describes a dataset that can be scanned as segment chunks.
 // Scan must deliver every row exactly once, in row order, as
-// self-contained segments (store.Scan or store.ScanChunks semantics).
+// self-contained segments (store.ScanChunks semantics).
 type StreamSource struct {
 	Columns []StreamColumn
 	Rows    int

@@ -7,7 +7,7 @@ import (
 
 // DeferLoopAnalyzer guards the resource lifecycle of iteration (DESIGN.md
 // §13): a defer inside a loop does not run at the end of the iteration — it
-// runs when the whole function returns. A Store.Scan-style loop that defers
+// runs when the whole function returns. A segment-scan loop that defers
 // each segment file's Close pins every segment open at once, turning an
 // O(1)-resident streaming pass into O(segments) descriptors; a deferred
 // Unlock in a loop holds the first iteration's lock across all later ones.

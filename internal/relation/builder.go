@@ -12,11 +12,10 @@ import (
 // one segment beyond the accumulating relation is ever held in memory.
 //
 // Chunks are appended per column; Build validates that every column ended
-// at the same length. Categorical chunks may arrive either as raw strings
-// or as dictionary-coded (dict, codes) pairs — the builder re-interns
-// through the column's dictionary, so first-occurrence code order over the
-// concatenated rows is identical to building the column from the full
-// string slice. That invariant is what makes store-materialized relations
+// at the same length. Categorical chunks arrive dictionary-coded as
+// (dict, codes) pairs — the builder re-interns through the column's
+// dictionary, so first-occurrence code order over the concatenated rows is
+// identical to building the column from the full string slice. That invariant is what makes store-materialized relations
 // bit-identical to CSV-loaded ones.
 type Builder struct {
 	cols   []*Column
@@ -63,19 +62,6 @@ func (b *Builder) AppendFloats(name string, vals []float64) error {
 		return err
 	}
 	c.values = append(c.values, vals...)
-	return nil
-}
-
-// AppendStrings appends a chunk of raw values to a categorical column,
-// interning through the column's dictionary.
-func (b *Builder) AppendStrings(name string, vals []string) error {
-	c, err := b.column(name, Categorical)
-	if err != nil {
-		return err
-	}
-	for _, v := range vals {
-		c.codes = append(c.codes, c.intern(v))
-	}
 	return nil
 }
 

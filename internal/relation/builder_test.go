@@ -35,7 +35,7 @@ func TestBuilderChunkedEqualsWhole(t *testing.T) {
 	}
 	// Two chunks, the second arriving dictionary-coded with a chunk-local
 	// dictionary whose code order differs from the global one.
-	if err := b.AppendStrings("Model", []string{"x", "y", "x"}); err != nil {
+	if err := b.AppendCoded("Model", []string{"x", "y"}, []uint32{0, 1, 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.AppendCoded("Model", []string{"z", "w", "y"}, []uint32{0, 2, 1}); err != nil {
@@ -69,7 +69,7 @@ func TestBuilderLengthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.AppendStrings("A", []string{"x", "y"}); err != nil {
+	if err := b.AppendCoded("A", []string{"x", "y"}, []uint32{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.AppendFloats("B", []float64{1}); err != nil {
@@ -94,7 +94,7 @@ func TestBuilderErrors(t *testing.T) {
 	if err := b.AppendFloats("A", []float64{1}); err == nil {
 		t.Fatal("numeric append on categorical column accepted")
 	}
-	if err := b.AppendStrings("missing", []string{"x"}); err == nil {
+	if err := b.AppendCoded("missing", []string{"x"}, []uint32{0}); err == nil {
 		t.Fatal("append on unknown column accepted")
 	}
 	if err := b.AppendCoded("A", []string{"x"}, []uint32{3}); err == nil {

@@ -2,23 +2,8 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
-
-// Assignment is a joint assignment of values to a set of columns, X = x in
-// the paper's notation. Values are in their string form.
-type Assignment map[string]string
-
-// Key renders the assignment as a canonical string over the given column
-// order.
-func (a Assignment) Key(names []string) string {
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = a[n]
-	}
-	return joinKey(parts)
-}
 
 // joinKey renders a value tuple as one \x1f-separated string. Keys are
 // built once per row on the detection hot path, so the builder is sized
@@ -42,32 +27,6 @@ func joinKey(parts []string) string {
 		b.WriteString(p)
 	}
 	return b.String()
-}
-
-// Count returns the empirical count N_D(X = x): the number of records whose
-// values on the assignment's columns match the assignment.
-func (r *Relation) Count(a Assignment) int {
-	names := make([]string, 0, len(a))
-	for n := range a {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	want := a.Key(names)
-	n := 0
-	for i := 0; i < r.NumRows(); i++ {
-		if r.RowKey(i, names) == want {
-			n++
-		}
-	}
-	return n
-}
-
-// Freq returns the empirical frequency P_D(X = x) = N_D(X = x) / N_D.
-func (r *Relation) Freq(a Assignment) float64 {
-	if r.NumRows() == 0 {
-		return 0
-	}
-	return float64(r.Count(a)) / float64(r.NumRows())
 }
 
 // EmpiricalDist is the empirical joint distribution P_D over a set of
@@ -99,130 +58,4 @@ func (d *EmpiricalDist) Prob(vals ...string) float64 {
 		panic(fmt.Sprintf("relation: Prob got %d values for %d columns", len(vals), len(d.Names)))
 	}
 	return d.Probs[joinKey(vals)]
-}
-
-// ContingencyTable is the 2-way table of empirical counts over a pair of
-// categorical columns, the input to the G and chi-square tests.
-type ContingencyTable struct {
-	RowLevels []string
-	ColLevels []string
-	// Counts[i][j] is the number of records with row level i and col level j.
-	Counts [][]float64
-	// N is the total count.
-	N float64
-}
-
-// Contingency builds the contingency table of two categorical columns. Both
-// columns must be categorical; numeric columns should be discretised first.
-func (r *Relation) Contingency(rowCol, colCol string) (*ContingencyTable, error) {
-	rc, err := r.Column(rowCol)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := r.Column(colCol)
-	if err != nil {
-		return nil, err
-	}
-	if rc.Kind != Categorical || cc.Kind != Categorical {
-		return nil, fmt.Errorf("relation: contingency table needs categorical columns, got %s (%s) and %s (%s)",
-			rowCol, rc.Kind, colCol, cc.Kind)
-	}
-	t := &ContingencyTable{RowLevels: rc.Levels(), ColLevels: cc.Levels()}
-	t.Counts = make([][]float64, len(t.RowLevels))
-	for i := range t.Counts {
-		t.Counts[i] = make([]float64, len(t.ColLevels))
-	}
-	for i := 0; i < r.NumRows(); i++ {
-		t.Counts[rc.Code(i)][cc.Code(i)]++
-		t.N++
-	}
-	return t, nil
-}
-
-// RowMarginals returns the row sums of the table.
-func (t *ContingencyTable) RowMarginals() []float64 {
-	out := make([]float64, len(t.Counts))
-	for i, row := range t.Counts {
-		for _, v := range row {
-			out[i] += v
-		}
-	}
-	return out
-}
-
-// ColMarginals returns the column sums of the table.
-func (t *ContingencyTable) ColMarginals() []float64 {
-	if len(t.Counts) == 0 {
-		return nil
-	}
-	out := make([]float64, len(t.Counts[0]))
-	for _, row := range t.Counts {
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
-}
-
-// Expected returns the table of expected counts under independence:
-// E[i][j] = rowSum_i * colSum_j / N.
-func (t *ContingencyTable) Expected() [][]float64 {
-	rm, cm := t.RowMarginals(), t.ColMarginals()
-	out := make([][]float64, len(rm))
-	for i := range out {
-		out[i] = make([]float64, len(cm))
-		for j := range out[i] {
-			if t.N > 0 {
-				out[i][j] = rm[i] * cm[j] / t.N
-			}
-		}
-	}
-	return out
-}
-
-// MinExpected returns the smallest expected cell count over cells whose row
-// and column marginals are both positive; used for the chi-square
-// approximation validity rule (expected >= 5).
-func (t *ContingencyTable) MinExpected() float64 {
-	rm, cm := t.RowMarginals(), t.ColMarginals()
-	min := -1.0
-	for i := range rm {
-		if rm[i] <= 0 {
-			continue
-		}
-		for j := range cm {
-			if cm[j] <= 0 {
-				continue
-			}
-			e := rm[i] * cm[j] / t.N
-			if min < 0 || e < min {
-				min = e
-			}
-		}
-	}
-	if min < 0 {
-		return 0
-	}
-	return min
-}
-
-// DegreesOfFreedom returns (r-1)(c-1) counting only levels with nonzero
-// marginals.
-func (t *ContingencyTable) DegreesOfFreedom() int {
-	rm, cm := t.RowMarginals(), t.ColMarginals()
-	nr, nc := 0, 0
-	for _, v := range rm {
-		if v > 0 {
-			nr++
-		}
-	}
-	for _, v := range cm {
-		if v > 0 {
-			nc++
-		}
-	}
-	if nr < 2 || nc < 2 {
-		return 0
-	}
-	return (nr - 1) * (nc - 1)
 }

@@ -2,58 +2,10 @@ package relation
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
-
 	"strings"
 )
-
-// Filter returns the relation restricted to rows where keep reports true.
-func (r *Relation) Filter(keep func(row int) bool) *Relation {
-	var rows []int
-	for i := 0; i < r.NumRows(); i++ {
-		if keep(i) {
-			rows = append(rows, i)
-		}
-	}
-	return r.Subset(rows)
-}
-
-// SortBy returns a copy of the relation sorted by the named columns in
-// order (numeric columns by value, categorical by string), stably.
-func (r *Relation) SortBy(names ...string) (*Relation, error) {
-	cols := make([]*Column, len(names))
-	for i, n := range names {
-		c, err := r.Column(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = c
-	}
-	idx := make([]int, r.NumRows())
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, c := range cols {
-			if c.Kind == Numeric {
-				va, vb := c.Value(idx[a]), c.Value(idx[b])
-				//scoded:lint-ignore floatcmp comparator tie-break needs exact equality for a total order
-				if va != vb {
-					return va < vb
-				}
-				continue
-			}
-			sa, sb := c.StringAt(idx[a]), c.StringAt(idx[b])
-			if sa != sb {
-				return sa < sb
-			}
-		}
-		return false
-	})
-	return r.Subset(idx), nil
-}
 
 // Sample returns n rows drawn without replacement, in original row order.
 func (r *Relation) Sample(n int, rng *rand.Rand) (*Relation, error) {
@@ -63,93 +15,6 @@ func (r *Relation) Sample(n int, rng *rand.Rand) (*Relation, error) {
 	rows := rng.Perm(r.NumRows())[:n]
 	sort.Ints(rows)
 	return r.Subset(rows), nil
-}
-
-// Concat appends another relation with an identical schema (same column
-// names and kinds, in order).
-func (r *Relation) Concat(o *Relation) (*Relation, error) {
-	if r.NumCols() != o.NumCols() {
-		return nil, fmt.Errorf("relation: concat schema mismatch: %d vs %d columns", r.NumCols(), o.NumCols())
-	}
-	out := r.Clone()
-	for i, name := range r.Columns() {
-		oc, err := o.Column(name)
-		if err != nil {
-			return nil, fmt.Errorf("relation: concat: %w", err)
-		}
-		c := out.cols[i]
-		if c.Kind != oc.Kind {
-			return nil, fmt.Errorf("relation: concat kind mismatch on %q: %s vs %s", name, c.Kind, oc.Kind)
-		}
-		for j := 0; j < oc.Len(); j++ {
-			if c.Kind == Numeric {
-				c.values = append(c.values, oc.Value(j))
-			} else {
-				c.codes = append(c.codes, c.intern(oc.StringAt(j)))
-			}
-		}
-	}
-	return out, nil
-}
-
-// ColumnSummary describes one column for profiling output.
-type ColumnSummary struct {
-	Name        string
-	Kind        Kind
-	Cardinality int
-	// Numeric summaries (zero for categorical columns).
-	Min, Max, Mean, StdDev float64
-	// TopValue is the most frequent value with its count (categorical
-	// columns only).
-	TopValue string
-	TopCount int
-}
-
-// Describe summarizes every column: numeric columns get min/max/mean/sd,
-// categorical columns their cardinality and mode.
-func (r *Relation) Describe() []ColumnSummary {
-	out := make([]ColumnSummary, 0, r.NumCols())
-	for _, name := range r.Columns() {
-		c := r.MustColumn(name)
-		s := ColumnSummary{Name: name, Kind: c.Kind, Cardinality: c.Cardinality()}
-		if c.Kind == Numeric {
-			if c.Len() > 0 {
-				min, max, sum := math.Inf(1), math.Inf(-1), 0.0
-				for i := 0; i < c.Len(); i++ {
-					v := c.Value(i)
-					if v < min {
-						min = v
-					}
-					if v > max {
-						max = v
-					}
-					sum += v
-				}
-				mean := sum / float64(c.Len())
-				var ss float64
-				for i := 0; i < c.Len(); i++ {
-					d := c.Value(i) - mean
-					ss += d * d
-				}
-				s.Min, s.Max, s.Mean = min, max, mean
-				if c.Len() > 1 {
-					s.StdDev = math.Sqrt(ss / float64(c.Len()-1))
-				}
-			}
-		} else {
-			counts := make(map[string]int)
-			for i := 0; i < c.Len(); i++ {
-				counts[c.StringAt(i)]++
-			}
-			for v, n := range counts {
-				if n > s.TopCount || (n == s.TopCount && v < s.TopValue) {
-					s.TopValue, s.TopCount = v, n
-				}
-			}
-		}
-		out = append(out, s)
-	}
-	return out
 }
 
 // String renders a short preview of the relation (schema plus the first

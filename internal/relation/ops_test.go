@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,52 +11,6 @@ func opsRelation() *Relation {
 		NewCategoricalColumn("City", []string{"B", "A", "B", "C", "A"}),
 		NewNumericColumn("Pop", []float64{5, 3, 9, 1, 3}),
 	)
-}
-
-func TestFilter(t *testing.T) {
-	r := opsRelation()
-	f := r.Filter(func(i int) bool { return r.MustColumn("Pop").Value(i) >= 3 })
-	if f.NumRows() != 4 {
-		t.Fatalf("rows = %d", f.NumRows())
-	}
-	for i := 0; i < f.NumRows(); i++ {
-		if f.MustColumn("Pop").Value(i) < 3 {
-			t.Errorf("filter kept %v", f.MustColumn("Pop").Value(i))
-		}
-	}
-	empty := r.Filter(func(int) bool { return false })
-	if empty.NumRows() != 0 {
-		t.Error("empty filter should drop everything")
-	}
-}
-
-func TestSortBy(t *testing.T) {
-	r := opsRelation()
-	s, err := r.SortBy("City", "Pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cities := make([]string, s.NumRows())
-	for i := range cities {
-		cities[i] = s.MustColumn("City").StringAt(i)
-	}
-	want := []string{"A", "A", "B", "B", "C"}
-	for i := range want {
-		if cities[i] != want[i] {
-			t.Fatalf("sorted cities = %v", cities)
-		}
-	}
-	// Within City=B, Pop ascending: 5 then 9.
-	if s.MustColumn("Pop").Value(2) != 5 || s.MustColumn("Pop").Value(3) != 9 {
-		t.Errorf("secondary sort wrong: %v, %v", s.MustColumn("Pop").Value(2), s.MustColumn("Pop").Value(3))
-	}
-	if _, err := r.SortBy("Nope"); err == nil {
-		t.Error("want error for missing column")
-	}
-	// Original untouched.
-	if r.MustColumn("City").StringAt(0) != "B" {
-		t.Error("SortBy mutated the input")
-	}
 }
 
 func TestSample(t *testing.T) {
@@ -82,80 +35,16 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := opsRelation()
-	b := MustNew(
-		NewCategoricalColumn("City", []string{"D"}),
-		NewNumericColumn("Pop", []float64{7}),
-	)
-	out, err := a.Concat(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.NumRows() != 6 {
-		t.Fatalf("rows = %d", out.NumRows())
-	}
-	if out.MustColumn("City").StringAt(5) != "D" || out.MustColumn("Pop").Value(5) != 7 {
-		t.Error("appended row wrong")
-	}
-	if a.NumRows() != 5 {
-		t.Error("Concat mutated the receiver")
-	}
-	// Schema mismatches.
-	if _, err := a.Concat(MustNew(NewCategoricalColumn("City", []string{"x"}))); err == nil {
-		t.Error("want error for column-count mismatch")
-	}
-	mism := MustNew(
-		NewCategoricalColumn("City", []string{"x"}),
-		NewCategoricalColumn("Pop", []string{"y"}),
-	)
-	if _, err := a.Concat(mism); err == nil {
-		t.Error("want error for kind mismatch")
-	}
-	renamed := MustNew(
-		NewCategoricalColumn("Town", []string{"x"}),
-		NewNumericColumn("Pop", []float64{1}),
-	)
-	if _, err := a.Concat(renamed); err == nil {
-		t.Error("want error for name mismatch")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	r := opsRelation()
-	ds := r.Describe()
-	if len(ds) != 2 {
-		t.Fatalf("summaries = %d", len(ds))
-	}
-	city := ds[0]
-	if city.Name != "City" || city.Kind != Categorical || city.Cardinality != 3 {
-		t.Errorf("city summary = %+v", city)
-	}
-	// A and B both appear twice; ties break to the lexicographically
-	// smaller value.
-	if city.TopValue != "A" || city.TopCount != 2 {
-		t.Errorf("city mode = %q x%d", city.TopValue, city.TopCount)
-	}
-	pop := ds[1]
-	if pop.Min != 1 || pop.Max != 9 {
-		t.Errorf("pop range = [%v, %v]", pop.Min, pop.Max)
-	}
-	if math.Abs(pop.Mean-4.2) > 1e-12 {
-		t.Errorf("pop mean = %v", pop.Mean)
-	}
-	if pop.StdDev <= 0 {
-		t.Errorf("pop sd = %v", pop.StdDev)
-	}
-}
-
 func TestRelationString(t *testing.T) {
 	r := opsRelation()
 	s := r.String()
 	if !strings.Contains(s, "Relation(5 rows)") || !strings.Contains(s, "City") {
 		t.Errorf("String = %q", s)
 	}
-	big := r.Filter(func(int) bool { return true })
-	big, _ = big.Concat(r)
+	big, err := r.AppendRows(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(big.String(), "more rows") {
 		t.Error("long relations should be truncated in String")
 	}

@@ -380,16 +380,6 @@ func (r *Relation) RowKey(i int, names []string) string {
 	return b.String()
 }
 
-// DistinctRows returns the set of distinct value tuples over the named
-// columns, as row keys, together with their multiplicities.
-func (r *Relation) DistinctRows(names []string) map[string]int {
-	out := make(map[string]int)
-	for i := 0; i < r.NumRows(); i++ {
-		out[r.RowKey(i, names)]++
-	}
-	return out
-}
-
 // GroupBy partitions the row indices by the value tuple over the named
 // columns. The returned map is keyed by RowKey. Group member lists preserve
 // row order.

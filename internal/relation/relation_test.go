@@ -171,14 +171,14 @@ func TestGroupBy(t *testing.T) {
 
 func TestEmpiricalCountsAndFreqs(t *testing.T) {
 	r := carRelation()
-	if got := r.Count(Assignment{"Model": "BMW X1"}); got != 4 {
-		t.Errorf("Count(Model=BMW X1) = %d, want 4", got)
+	if got := r.Empirical("Model").Prob("BMW X1"); got != 4.0/8.0 {
+		t.Errorf("P(Model=BMW X1) = %v, want 0.5", got)
 	}
-	if got := r.Count(Assignment{"Model": "Toyota Prius", "Color": "White"}); got != 3 {
-		t.Errorf("Count(Prius,White) = %d, want 3", got)
+	if got := r.Empirical("Model", "Color").Prob("Toyota Prius", "White"); got != 3.0/8.0 {
+		t.Errorf("P(Prius,White) = %v, want 0.375", got)
 	}
-	if got := r.Freq(Assignment{"Color": "Black"}); got != 3.0/8.0 {
-		t.Errorf("Freq(Black) = %v, want 0.375", got)
+	if got := r.Empirical("Color").Prob("Black"); got != 3.0/8.0 {
+		t.Errorf("P(Black) = %v, want 0.375", got)
 	}
 }
 
@@ -197,50 +197,6 @@ func TestEmpiricalDist(t *testing.T) {
 	}
 	if diff := sum - 1.0; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("probabilities sum to %v", sum)
-	}
-}
-
-func TestContingencyTable(t *testing.T) {
-	r := carRelation()
-	ct, err := r.Contingency("Model", "Color")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct.N != 8 {
-		t.Errorf("N = %v", ct.N)
-	}
-	// Model order of first appearance: BMW X1, Toyota Prius.
-	// Color order: White, Black.
-	if ct.Counts[0][0] != 2 || ct.Counts[0][1] != 2 || ct.Counts[1][0] != 3 || ct.Counts[1][1] != 1 {
-		t.Errorf("counts = %v", ct.Counts)
-	}
-	rm := ct.RowMarginals()
-	if rm[0] != 4 || rm[1] != 4 {
-		t.Errorf("row marginals = %v", rm)
-	}
-	cm := ct.ColMarginals()
-	if cm[0] != 5 || cm[1] != 3 {
-		t.Errorf("col marginals = %v", cm)
-	}
-	e := ct.Expected()
-	if e[0][0] != 4*5.0/8.0 {
-		t.Errorf("expected[0][0] = %v", e[0][0])
-	}
-	if df := ct.DegreesOfFreedom(); df != 1 {
-		t.Errorf("df = %d, want 1", df)
-	}
-	if me := ct.MinExpected(); me != 4*3.0/8.0 {
-		t.Errorf("min expected = %v", me)
-	}
-}
-
-func TestContingencyRejectsNumeric(t *testing.T) {
-	r := MustNew(
-		NewNumericColumn("X", []float64{1, 2}),
-		NewCategoricalColumn("Y", []string{"a", "b"}),
-	)
-	if _, err := r.Contingency("X", "Y"); err == nil {
-		t.Error("want error for numeric column in contingency table")
 	}
 }
 
@@ -363,18 +319,5 @@ func TestRowKeyDistinguishesTuples(t *testing.T) {
 	k1 := r.RowKey(1, []string{"A", "B"})
 	if k0 == k1 {
 		t.Error("RowKey must not collide across (a,bc) and (ab,c)")
-	}
-}
-
-func TestDistinctRows(t *testing.T) {
-	r := carRelation()
-	d := r.DistinctRows([]string{"Model"})
-	if len(d) != 2 {
-		t.Fatalf("distinct models = %d", len(d))
-	}
-	for _, n := range d {
-		if n != 4 {
-			t.Errorf("multiplicity = %d, want 4", n)
-		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"math"
 	"sort"
 
-	"scoded/internal/detect"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/stats"
@@ -258,7 +258,7 @@ func codesAndLevels(d *relation.Relation, name string, rows []int) ([]int, []str
 	for i, r := range rows {
 		vals[i] = col.Value(r)
 	}
-	codes, nBins := detect.DiscretizeQuantile(vals, 4)
+	codes, nBins := kernel.DiscretizeQuantile(vals, 4)
 	levels := make([]string, nBins)
 	for b := range levels {
 		levels[b] = fmt.Sprintf("bin%d", b)

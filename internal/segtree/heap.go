@@ -130,17 +130,6 @@ func (m *MaxHeap) Peek() (id int, priority float64, ok bool) {
 	return int(m.ids[0]), m.prio[0], true
 }
 
-// Pop removes and returns the maximum item. ok is false when the heap is
-// empty.
-func (m *MaxHeap) Pop() (id int, priority float64, ok bool) {
-	if len(m.ids) == 0 {
-		return 0, 0, false
-	}
-	id, priority = int(m.ids[0]), m.prio[0]
-	m.removeAt(0)
-	return id, priority, true
-}
-
 // removeAt deletes the item at heap slot i.
 func (m *MaxHeap) removeAt(i int) {
 	last := len(m.ids) - 1
@@ -169,12 +158,4 @@ func (m *MaxHeap) Remove(id int) {
 // Contains reports whether the id is in the heap.
 func (m *MaxHeap) Contains(id int) bool {
 	return m.index(id) >= 0
-}
-
-// Priority returns the current priority of an item.
-func (m *MaxHeap) Priority(id int) (float64, bool) {
-	if i := m.index(id); i >= 0 {
-		return m.prio[i], true
-	}
-	return 0, false
 }

@@ -21,17 +21,11 @@ type FenwickMerge struct {
 	ycnt   []int32 // scratch counting-sort histogram, reused across rebuilds
 }
 
-// NewFenwickMerge builds the structure over n points given by parallel
-// rank slices: point p has x-rank xr[p] in [0, ux) and y-rank yr[p] in
-// [0, uy). Ranks are dense compressed ranks (CompressRanks order).
-func NewFenwickMerge(xr, yr []int, ux, uy int) *FenwickMerge {
-	f := &FenwickMerge{}
-	f.Rebuild(xr, yr, ux, uy)
-	return f
-}
-
-// Rebuild re-points the structure at a new point set, reusing the backing
-// arrays when they are large enough. Cost is O(n log ux + uy).
+// Rebuild points the structure at n points given by parallel rank slices
+// (point p has x-rank xr[p] in [0, ux) and y-rank yr[p] in [0, uy), dense
+// compressed ranks in CompressRanksInto order), reusing the backing arrays
+// when they are large enough. The zero value is ready for Rebuild. Cost is
+// O(n log ux + uy).
 func (f *FenwickMerge) Rebuild(xr, yr []int, ux, uy int) {
 	if ux < 1 {
 		ux = 1

@@ -19,7 +19,8 @@ func TestFenwickMergeMatchesBruteForce(t *testing.T) {
 			xr[i] = rng.Intn(ux)
 			yr[i] = rng.Intn(uy)
 		}
-		f := NewFenwickMerge(xr, yr, ux, uy)
+		var f FenwickMerge
+		f.Rebuild(xr, yr, ux, uy)
 		for q := 0; q < 50; q++ {
 			qx := rng.Intn(ux+2) - 1
 			qy := rng.Intn(uy+2) - 1
@@ -40,7 +41,8 @@ func TestFenwickMergeMatchesBruteForce(t *testing.T) {
 // TestFenwickMergeRebuildReuse pins that Rebuild leaves no stale state
 // behind when the new point set is smaller than the old one.
 func TestFenwickMergeRebuildReuse(t *testing.T) {
-	f := NewFenwickMerge([]int{0, 1, 2, 3}, []int{3, 2, 1, 0}, 4, 4)
+	var f FenwickMerge
+	f.Rebuild([]int{0, 1, 2, 3}, []int{3, 2, 1, 0}, 4, 4)
 	if got := f.CountLE(3, 3); got != 4 {
 		t.Fatalf("initial total = %d", got)
 	}

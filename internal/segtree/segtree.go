@@ -169,19 +169,13 @@ func (f *Fenwick) CountAbove(pos int) int64 { return f.prefix(f.n-1) - f.prefix(
 // Total returns the number of inserted points.
 func (f *Fenwick) Total() int64 { return f.prefix(f.n - 1) }
 
-// CompressRanks maps each value to its dense rank (0-based) among the
-// distinct values of v, returning the ranks and the number of distinct
-// values. Equal values share a rank, so tree counts of "below"/"above"
-// exclude ties, matching the concordant/discordant pair definitions.
-func CompressRanks(v []float64) (ranks []int, distinct int) {
-	ranks, distinct, _ = CompressRanksInto(v, nil, nil)
-	return ranks, distinct
-}
-
-// CompressRanksInto is CompressRanks with caller-provided buffers: ranks
-// receives the per-value ranks (grown if too small) and scratch is used for
-// the sort pass. It returns the ranks, the distinct count, and the (possibly
-// grown) scratch buffer so repeated calls can amortize both allocations.
+// CompressRanksInto maps each value to its dense rank (0-based) among the
+// distinct values of v. Equal values share a rank, so tree counts of
+// "below"/"above" exclude ties, matching the concordant/discordant pair
+// definitions. ranks receives the per-value ranks (grown if too small) and
+// scratch is used for the sort pass. It returns the ranks, the distinct
+// count, and the (possibly grown) scratch buffer so repeated calls can
+// amortize both allocations.
 //
 // Contract: on return, scratch[:distinct] holds the ascending distinct
 // values of v (rank r corresponds to scratch[r]). CompressRanksUniqInto

@@ -132,7 +132,7 @@ func TestZeroSizeTreesClampToOne(t *testing.T) {
 
 func TestCompressRanks(t *testing.T) {
 	v := []float64{3.5, -1, 3.5, 10, -1}
-	ranks, k := CompressRanks(v)
+	ranks, k, _ := CompressRanksInto(v, nil, nil)
 	if k != 3 {
 		t.Fatalf("distinct = %d, want 3", k)
 	}
@@ -152,7 +152,7 @@ func TestCompressRanksOrderPreserving(t *testing.T) {
 		for i := range v {
 			v[i] = float64(rng.Intn(10))
 		}
-		ranks, k := CompressRanks(v)
+		ranks, k, _ := CompressRanksInto(v, nil, nil)
 		if k < 1 || k > n {
 			return false
 		}
@@ -170,6 +170,16 @@ func TestCompressRanksOrderPreserving(t *testing.T) {
 	}
 }
 
+// pop removes and returns the heap's maximum through Peek and Remove, as
+// the drill-down greedy loops do.
+func pop(h *MaxHeap) (int, float64, bool) {
+	id, p, ok := h.Peek()
+	if ok {
+		h.Remove(id)
+	}
+	return id, p, ok
+}
+
 func TestMaxHeapBasicOrdering(t *testing.T) {
 	h := NewMaxHeap()
 	h.Push(1, 5)
@@ -180,7 +190,7 @@ func TestMaxHeapBasicOrdering(t *testing.T) {
 	}
 	var got []int
 	for h.Len() > 0 {
-		id, _, _ := h.Pop()
+		id, _, _ := pop(h)
 		got = append(got, id)
 	}
 	want := []int{2, 1, 3}
@@ -190,8 +200,8 @@ func TestMaxHeapBasicOrdering(t *testing.T) {
 			break
 		}
 	}
-	if _, _, ok := h.Pop(); ok {
-		t.Error("Pop on empty should report !ok")
+	if _, _, ok := pop(h); ok {
+		t.Error("pop on empty should report !ok")
 	}
 	if _, _, ok := h.Peek(); ok {
 		t.Error("Peek on empty should report !ok")
@@ -207,16 +217,13 @@ func TestMaxHeapUpdate(t *testing.T) {
 	h.Update(4, -1)  // demote the maximum
 	h.Update(99, 5)  // no-op on unknown id
 	h.Push(2, 50)    // push of existing id acts as update
-	if p, _ := h.Priority(2); p != 50 {
-		t.Errorf("Priority(2) = %v", p)
-	}
-	id, p, _ := h.Pop()
+	id, p, _ := pop(h)
 	if id != 0 || p != 100 {
 		t.Errorf("first pop = %d/%v", id, p)
 	}
-	id, _, _ = h.Pop()
-	if id != 2 {
-		t.Errorf("second pop = %d, want 2", id)
+	id, p, _ = pop(h)
+	if id != 2 || p != 50 {
+		t.Errorf("second pop = %d/%v, want 2/50", id, p)
 	}
 }
 
@@ -236,9 +243,6 @@ func TestMaxHeapRemoveAndContains(t *testing.T) {
 	if h.Len() != 3 {
 		t.Errorf("Len = %d", h.Len())
 	}
-	if _, ok := h.Priority(3); ok {
-		t.Error("Priority of removed id should report !ok")
-	}
 }
 
 func TestMaxHeapDeterministicTieBreak(t *testing.T) {
@@ -248,7 +252,7 @@ func TestMaxHeapDeterministicTieBreak(t *testing.T) {
 	h.Push(5, 1)
 	var got []int
 	for h.Len() > 0 {
-		id, _, _ := h.Pop()
+		id, _, _ := pop(h)
 		got = append(got, id)
 	}
 	if !sort.IntsAreSorted(got) {
@@ -277,7 +281,7 @@ func TestMaxHeapRandomAgainstSort(t *testing.T) {
 		prevP := float64(1 << 30)
 		prevID := -1
 		for h.Len() > 0 {
-			id, p, _ := h.Pop()
+			id, p, _ := pop(h)
 			if pri[id] != p {
 				return false
 			}

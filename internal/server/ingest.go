@@ -106,27 +106,17 @@ func (m *monitorEntry) initIngest(queue int) {
 	m.mu.Unlock()
 }
 
-// handleMonitorRecords is the streaming twin of handleMonitorObserve:
-// same {"x": [...], "y": [...]} body, but admission-controlled. A full
-// queue answers 429 Too Many Requests with Retry-After; an admitted batch
-// is inserted, durably logged, then acknowledged with the inserted count.
-// A client disconnect mid-batch keeps the inserted prefix (and its log
-// entry) and reports how far it got.
+// handleMonitorRecords is the admission-controlled twin of
+// handleMonitorObserve: same {"x": [...], "y": [...]} body, applied by the
+// same applyBatch, but a full queue answers 429 Too Many Requests with
+// Retry-After, and the acknowledgement carries the inserted count.
 func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.monitorByID(w, r)
 	if !ok {
 		return
 	}
-	var req struct {
-		X []any `json:"x"`
-		Y []any `json:"y"`
-	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if len(req.X) != len(req.Y) {
-		writeError(w, http.StatusBadRequest, "x has %d values, y has %d", len(req.X), len(req.Y))
+	req, ok := decodeBatch(w, r)
+	if !ok {
 		return
 	}
 	select {
@@ -141,7 +131,48 @@ func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 			"monitor %d ingest queue full (%d in flight); retry later", m.id, cap(m.slots))
 		return
 	}
+	n, ok := s.applyBatch(w, r, m, req)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{
+		"inserted": n,
+		"monitor":  m.info(),
+	})
+}
 
+// batchRequest is the body of both ingest routes: strings for a
+// categorical monitor, numbers for a numeric one, in arrays of equal
+// length.
+type batchRequest struct {
+	X []any `json:"x"`
+	Y []any `json:"y"`
+}
+
+// decodeBatch decodes and length-checks a batch body, answering 400
+// itself when it is malformed.
+func decodeBatch(w http.ResponseWriter, r *http.Request) (batchRequest, bool) {
+	var req batchRequest
+	if err := decodeJSON(r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return req, false
+	}
+	if len(req.X) != len(req.Y) {
+		writeError(w, http.StatusBadRequest, "x has %d values, y has %d", len(req.X), len(req.Y))
+		return req, false
+	}
+	return req, true
+}
+
+// applyBatch applies one batch to m for both ingest routes: it inserts the
+// records, checks the verdict for a flip to violated, advances the stream
+// statistics, persists the inserted records before the acknowledgement
+// and fires the alert. Batches stream through InsertBatch, so a
+// disconnected client or an expired deadline stops a large batch mid-way;
+// the inserted prefix still counts, and is what gets logged. applyBatch
+// answers every error itself and returns the inserted count and whether
+// the caller should write its success body.
+func (s *Server) applyBatch(w http.ResponseWriter, r *http.Request, m *monitorEntry, req batchRequest) (int, bool) {
 	var batchErr error
 	var n int
 	var xs, ys []string
@@ -151,11 +182,11 @@ func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 		var err error
 		if xs, err = asStrings(req.X, "x"); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return 0, false
 		}
 		if ys, err = asStrings(req.Y, "y"); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return 0, false
 		}
 		m.mu.Lock()
 		n, batchErr = m.cat.InsertBatch(r.Context(), xs, ys)
@@ -167,11 +198,11 @@ func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 		var err error
 		if xf, err = asFloats(req.X, "x"); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return 0, false
 		}
 		if yf, err = asFloats(req.Y, "y"); err != nil {
 			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+			return 0, false
 		}
 		m.mu.Lock()
 		n, batchErr = m.num.InsertBatch(r.Context(), xf, yf)
@@ -190,7 +221,7 @@ func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 		// Append-before-ack: the durable log write precedes the response.
 		if perr := s.persistObservations(m, xs, ys, xf, yf); perr != nil {
 			writeError(w, http.StatusInternalServerError, "persisting observations: %v", perr)
-			return
+			return n, false
 		}
 	}
 	if flipped {
@@ -198,12 +229,9 @@ func (s *Server) handleMonitorRecords(w http.ResponseWriter, r *http.Request) {
 	}
 	if batchErr != nil {
 		writeError(w, errStatus(batchErr), "inserted %d of %d records: %v", n, len(req.X), batchErr)
-		return
+		return n, false
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"inserted": n,
-		"monitor":  m.info(),
-	})
+	return n, true
 }
 
 // noteVerdictLocked re-evaluates the monitor's verdict and reports whether

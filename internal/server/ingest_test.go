@@ -344,6 +344,48 @@ func TestAlertWebhookFiredOnFlip(t *testing.T) {
 	}
 }
 
+// TestObserveAppliesBatchLikeRecords: /observe runs the same batch path as
+// /records, so a violating batch fires exactly one alert and advances the
+// watermark by the batch size, and the next /records batch compares
+// against the violated baseline instead of alerting again.
+func TestObserveAppliesBatchLikeRecords(t *testing.T) {
+	var hits atomic.Int64
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer hook.Close()
+
+	s := streamServer(t, Options{AlertBackoff: time.Millisecond}, map[string]any{
+		"kind": "numeric", "alpha": 0.05, "window": 0, "webhook": hook.URL,
+	})
+	h := s.Handler()
+	xs, ys := violatedBatch(100)
+	var mon monitorInfo
+	if code := do(t, h, "POST", "/v1/monitors/1/observe", "application/json",
+		recordsBody(t, xs, ys), &mon); code != http.StatusOK {
+		t.Fatalf("observe: status %d", code)
+	}
+	if mon.Observed != 100 {
+		t.Fatalf("observe answered observed=%d, want 100", mon.Observed)
+	}
+	m := s.monitors[1]
+	m.stats.mu.Lock()
+	watermark := m.stats.watermark
+	m.stats.mu.Unlock()
+	if watermark != 100 {
+		t.Fatalf("watermark %d after a 100-record observe, want 100", watermark)
+	}
+	waitForAlerts(t, m, func(st *streamStats) bool { return st.alertsFired == 1 })
+	if code := do(t, h, "POST", "/v1/monitors/1/records", "application/json",
+		recordsBody(t, []float64{1000}, []float64{1000}), nil); code != http.StatusOK {
+		t.Fatalf("records: status %d", code)
+	}
+	s.Close() // drain any in-flight delivery before counting
+	if hits.Load() != 1 {
+		t.Fatalf("webhook hit %d times, want 1", hits.Load())
+	}
+}
+
 // TestAlertWebhookRetryExhaustion: a sink that always fails is retried
 // with backoff, then counted as a delivery failure — never blocking the
 // ingest path.

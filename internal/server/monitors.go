@@ -192,75 +192,19 @@ func (s *Server) monitorByID(w http.ResponseWriter, r *http.Request) (*monitorEn
 
 // handleMonitorObserve records a batch of (x, y) observations:
 // {"x": [...], "y": [...]} — strings for a categorical monitor, numbers
-// for a numeric one. The two arrays must have equal length.
+// for a numeric one. The two arrays must have equal length. It applies
+// the batch as handleMonitorRecords does, without admission control, and
+// answers with the monitor.
 func (s *Server) handleMonitorObserve(w http.ResponseWriter, r *http.Request) {
 	m, ok := s.monitorByID(w, r)
 	if !ok {
 		return
 	}
-	var req struct {
-		X []any `json:"x"`
-		Y []any `json:"y"`
-	}
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	req, ok := decodeBatch(w, r)
+	if !ok {
 		return
 	}
-	if len(req.X) != len(req.Y) {
-		writeError(w, http.StatusBadRequest, "x has %d values, y has %d", len(req.X), len(req.Y))
-		return
-	}
-	// Batches stream through InsertBatch so a disconnected client or an
-	// expired server deadline stops a large observation batch mid-way; the
-	// already-inserted prefix still counts as observed (and is what gets
-	// persisted to the monitor's durable log).
-	var batchErr error
-	var n int
-	var xs, ys []string
-	var xf, yf []float64
-	if m.kind == "categorical" {
-		var err error
-		xs, err = asStrings(req.X, "x")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		ys, err = asStrings(req.Y, "y")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		m.mu.Lock()
-		n, batchErr = m.cat.InsertBatch(r.Context(), xs, ys)
-		m.observed += int64(n)
-		m.mu.Unlock()
-		xs, ys = xs[:n], ys[:n]
-	} else {
-		var err error
-		xf, err = asFloats(req.X, "x")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		yf, err = asFloats(req.Y, "y")
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		m.mu.Lock()
-		n, batchErr = m.num.InsertBatch(r.Context(), xf, yf)
-		m.observed += int64(n)
-		m.mu.Unlock()
-		xf, yf = xf[:n], yf[:n]
-	}
-	if n > 0 {
-		if perr := s.persistObservations(m, xs, ys, xf, yf); perr != nil {
-			writeError(w, http.StatusInternalServerError, "persisting observations: %v", perr)
-			return
-		}
-	}
-	if batchErr != nil {
-		writeError(w, errStatus(batchErr), "%v", batchErr)
+	if _, ok := s.applyBatch(w, r, m, req); !ok {
 		return
 	}
 	writeJSON(w, http.StatusOK, m.info())

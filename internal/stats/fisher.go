@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Hypergeometric is the distribution of the number of successes in Draws
 // draws without replacement from a population of size N containing K
@@ -32,60 +29,6 @@ func logChoose(n, k int) float64 {
 	b, _ := math.Lgamma(float64(k + 1))
 	c, _ := math.Lgamma(float64(n - k + 1))
 	return a - b - c
-}
-
-// FisherExact performs Fisher's exact test of independence on a 2x2 table
-// [[a, b], [c, d]], returning the two-sided p-value: the total probability,
-// under the hypergeometric null with the observed marginals, of all tables
-// at most as probable as the observed one. This is the exact small-sample
-// companion to the G-test that the paper's Section 4.3 calls for when
-// expected counts fall below 5.
-func FisherExact(a, b, c, d int) (TestResult, error) {
-	if a < 0 || b < 0 || c < 0 || d < 0 {
-		return TestResult{}, fmt.Errorf("stats: negative count in Fisher table [[%d,%d],[%d,%d]]", a, b, c, d)
-	}
-	n := a + b + c + d
-	if n == 0 {
-		return TestResult{}, fmt.Errorf("stats: empty Fisher table")
-	}
-	row1 := a + b
-	col1 := a + c
-	dist := Hypergeometric{N: n, K: col1, Draws: row1}
-	obsLog := dist.LogPMF(a)
-
-	lo := max(0, row1-(n-col1))
-	hi := min(row1, col1)
-	p := 0.0
-	const slack = 1e-7 // tolerate rounding when comparing table probabilities
-	for k := lo; k <= hi; k++ {
-		if lp := dist.LogPMF(k); lp <= obsLog+slack {
-			p += math.Exp(lp)
-		}
-	}
-	if p > 1 {
-		p = 1
-	}
-	// The conventional effect-size statistic for a 2x2 exact test is the
-	// sample odds ratio.
-	or := math.Inf(1)
-	if b > 0 && c > 0 {
-		or = float64(a) * float64(d) / (float64(b) * float64(c))
-	}
-	return TestResult{Statistic: or, P: p, N: n}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // CramersV returns the bias-uncorrected Cramér's V of a contingency table:
@@ -119,89 +62,4 @@ func CramersV(t Table) (float64, error) {
 		v = 1
 	}
 	return v, nil
-}
-
-// TheilsU returns the uncertainty coefficient U(Y|X) of a contingency table
-// with X as rows and Y as columns: the fraction of Y's entropy explained by
-// X, (H(Y) − H(Y|X)) / H(Y) = I(X;Y)/H(Y), in [0, 1]. Unlike Cramér's V it
-// is asymmetric, which makes it useful for judging approximate functional
-// dependencies X → Y.
-func TheilsU(t Table) (float64, error) {
-	if err := t.validate(); err != nil {
-		return 0, err
-	}
-	n := t.N()
-	if n <= 0 {
-		return 0, fmt.Errorf("stats: empty table")
-	}
-	_, cm := t.Marginals()
-	hy := 0.0
-	for _, c := range cm {
-		if c > 0 {
-			p := c / n
-			hy -= p * math.Log(p)
-		}
-	}
-	if hy <= 0 {
-		// Zero entropy: Y is constant, vacuously fully determined.
-		return 1, nil
-	}
-	u := MutualInformationNats(t) / hy
-	if u > 1 {
-		u = 1
-	}
-	if u < 0 {
-		u = 0
-	}
-	return u, nil
-}
-
-// ChiSquareGoodnessOfFit tests observed category counts against expected
-// probabilities (which must sum to ~1): X² = Σ (O−E)²/E with k−1 degrees
-// of freedom.
-func ChiSquareGoodnessOfFit(observed []float64, expectedProb []float64) (TestResult, error) {
-	if len(observed) != len(expectedProb) {
-		return TestResult{}, fmt.Errorf("stats: goodness-of-fit length mismatch %d vs %d", len(observed), len(expectedProb))
-	}
-	if len(observed) < 2 {
-		return TestResult{}, fmt.Errorf("stats: goodness-of-fit needs at least 2 categories")
-	}
-	var n, psum float64
-	for i := range observed {
-		if observed[i] < 0 || expectedProb[i] < 0 {
-			return TestResult{}, fmt.Errorf("stats: negative entry at %d", i)
-		}
-		n += observed[i]
-		psum += expectedProb[i]
-	}
-	if math.Abs(psum-1) > 1e-9 {
-		return TestResult{}, fmt.Errorf("stats: expected probabilities sum to %v, want 1", psum)
-	}
-	if n <= 0 {
-		return TestResult{}, fmt.Errorf("stats: no observations")
-	}
-	x2 := 0.0
-	minE := math.Inf(1)
-	for i := range observed {
-		e := n * expectedProb[i]
-		if e <= 0 {
-			if observed[i] > 0 {
-				return TestResult{}, fmt.Errorf("stats: observed count in zero-probability category %d", i)
-			}
-			continue
-		}
-		d := observed[i] - e
-		x2 += d * d / e
-		if e < minE {
-			minE = e
-		}
-	}
-	df := len(observed) - 1
-	return TestResult{
-		Statistic:   x2,
-		DF:          df,
-		P:           ChiSquared{K: float64(df)}.Survival(x2),
-		N:           int(n),
-		Approximate: minE < 5,
-	}, nil
 }

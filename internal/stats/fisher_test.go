@@ -1,10 +1,6 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestHypergeometricPMFSumsToOne(t *testing.T) {
 	d := Hypergeometric{N: 20, K: 7, Draws: 9}
@@ -30,75 +26,6 @@ func TestHypergeometricKnownValue(t *testing.T) {
 	}
 }
 
-// R reference: fisher.test(matrix(c(3,1,1,3),2)) two-sided p = 0.4857143.
-func TestFisherExactRReference(t *testing.T) {
-	res, err := FisherExact(3, 1, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(res.P, 0.4857142857142857, 1e-9) {
-		t.Errorf("p = %v, want 0.4857143", res.P)
-	}
-	if !approxEq(res.Statistic, 9, 1e-12) { // odds ratio 3*3/(1*1)
-		t.Errorf("odds ratio = %v", res.Statistic)
-	}
-}
-
-func TestFisherExactStrongAssociation(t *testing.T) {
-	// Table [[1,9],[11,3]]: marginals row1=10, col1=12, N=24. The tables
-	// at most as probable as the observed one are k ∈ {0, 1, 9, 10} (the
-	// distribution is symmetric here), so the exact two-sided p is
-	// pmf(0)+pmf(1)+pmf(9)+pmf(10).
-	res, err := FisherExact(1, 9, 11, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := Hypergeometric{N: 24, K: 12, Draws: 10}
-	want := d.PMF(0) + d.PMF(1) + d.PMF(9) + d.PMF(10)
-	if !approxEq(res.P, want, 1e-12) {
-		t.Errorf("p = %v, want %v", res.P, want)
-	}
-	if res.P > 0.01 {
-		t.Errorf("strong association should give small p, got %v", res.P)
-	}
-}
-
-func TestFisherExactIndependentTable(t *testing.T) {
-	// Balanced table: the observed table is the most probable one, so the
-	// two-sided p is 1.
-	res, err := FisherExact(5, 5, 5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(res.P, 1, 1e-9) {
-		t.Errorf("p = %v, want 1", res.P)
-	}
-}
-
-func TestFisherExactErrors(t *testing.T) {
-	if _, err := FisherExact(-1, 0, 0, 0); err == nil {
-		t.Error("want error for negative count")
-	}
-	if _, err := FisherExact(0, 0, 0, 0); err == nil {
-		t.Error("want error for empty table")
-	}
-}
-
-func TestFisherExactAgreesWithGAsymptotically(t *testing.T) {
-	// On a large table with genuine association both tests should reject.
-	fe, err := FisherExact(60, 40, 30, 70)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := GTest(Table{{60, 40}, {30, 70}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fe.P > 0.01 || g.P > 0.01 {
-		t.Errorf("both tests should strongly reject: fisher p=%v, G p=%v", fe.P, g.P)
-	}
-}
-
 func TestCramersV(t *testing.T) {
 	// Perfect association on a 2x2 diagonal: V = 1.
 	v, err := CramersV(Table{{10, 0}, {0, 10}})
@@ -121,118 +48,4 @@ func TestCramersV(t *testing.T) {
 	if _, err := CramersV(Table{}); err == nil {
 		t.Error("want error for empty table")
 	}
-}
-
-func TestTheilsUFunctionalDependence(t *testing.T) {
-	// Y fully determined by X (diagonal): U(Y|X) = 1.
-	u, err := TheilsU(Table{{10, 0}, {0, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(u, 1, 1e-12) {
-		t.Errorf("U = %v, want 1", u)
-	}
-	// Independence: U = 0.
-	u, _ = TheilsU(Table{{10, 20}, {20, 40}})
-	if !approxEq(u, 0, 1e-9) {
-		t.Errorf("U = %v, want 0", u)
-	}
-	// Asymmetry: X determined by Y but not conversely.
-	// Table rows=X (3 levels), cols=Y (2 levels): Y -> X is not
-	// functional; X -> Y is.
-	tab := Table{{5, 0}, {3, 0}, {0, 4}}
-	uyGivenX, _ := TheilsU(tab)
-	// Transpose for U(X|Y).
-	tr := Table{{5, 3, 0}, {0, 0, 4}}
-	uxGivenY, _ := TheilsU(tr)
-	if !approxEq(uyGivenX, 1, 1e-12) {
-		t.Errorf("U(Y|X) = %v, want 1 (X determines Y)", uyGivenX)
-	}
-	if uxGivenY >= 1-1e-9 {
-		t.Errorf("U(X|Y) = %v, want < 1 (Y does not determine X)", uxGivenY)
-	}
-	// Constant Y is vacuously determined.
-	u, _ = TheilsU(Table{{5, 0}, {7, 0}})
-	if u != 1 {
-		t.Errorf("constant-Y U = %v, want 1", u)
-	}
-}
-
-func TestChiSquareGoodnessOfFit(t *testing.T) {
-	// A fair die observed 600 times with mild deviations.
-	obs := []float64{95, 105, 99, 101, 98, 102}
-	probs := []float64{1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6, 1.0 / 6}
-	res, err := ChiSquareGoodnessOfFit(obs, probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DF != 5 {
-		t.Errorf("df = %d", res.DF)
-	}
-	if res.P < 0.9 {
-		t.Errorf("near-perfect fit should give high p, got %v", res.P)
-	}
-	// A loaded die should be rejected.
-	obs = []float64{200, 80, 80, 80, 80, 80}
-	res, _ = ChiSquareGoodnessOfFit(obs, probs)
-	if res.P > 1e-6 {
-		t.Errorf("loaded die p = %v", res.P)
-	}
-}
-
-func TestChiSquareGoodnessOfFitErrors(t *testing.T) {
-	if _, err := ChiSquareGoodnessOfFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("want error for single category")
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, 2}, []float64{0.5}); err == nil {
-		t.Error("want error for length mismatch")
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, 2}, []float64{0.2, 0.2}); err == nil {
-		t.Error("want error for probabilities not summing to 1")
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, -2}, []float64{0.5, 0.5}); err == nil {
-		t.Error("want error for negative count")
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{0, 0}, []float64{0.5, 0.5}); err == nil {
-		t.Error("want error for no observations")
-	}
-	if _, err := ChiSquareGoodnessOfFit([]float64{1, 2}, []float64{0, 1}); err == nil {
-		t.Error("want error for mass in zero-probability category")
-	}
-}
-
-func TestFisherExactCalibration(t *testing.T) {
-	// Under independence with random marginals, the rejection rate at 0.05
-	// must not exceed 0.05 by much (exact tests are conservative).
-	rng := rand.New(rand.NewSource(9))
-	trials, rejected := 500, 0
-	for i := 0; i < trials; i++ {
-		var a, b, c, d int
-		for j := 0; j < 40; j++ {
-			r := rng.Intn(2)
-			col := rng.Intn(2)
-			switch {
-			case r == 0 && col == 0:
-				a++
-			case r == 0 && col == 1:
-				b++
-			case r == 1 && col == 0:
-				c++
-			default:
-				d++
-			}
-		}
-		res, err := FisherExact(a, b, c, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.P < 0.05 {
-			rejected++
-		}
-	}
-	rate := float64(rejected) / float64(trials)
-	if rate > 0.07 {
-		t.Errorf("exact test rejection rate %v exceeds nominal 0.05", rate)
-	}
-	_ = math.Pi
 }

@@ -326,18 +326,9 @@ func KendallNaive(x, y []float64) KendallResult {
 	return res
 }
 
-// KendallTest adapts Kendall to the TestResult interface used by the
-// violation detector: the statistic is |tau-b| and the p-value is the
-// two-sided Gaussian approximation.
-func KendallTest(x, y []float64) (TestResult, error) {
-	k, err := Kendall(x, y)
-	if err != nil {
-		return TestResult{}, err
-	}
-	return k.Test(), nil
-}
-
-// Test is k as KendallTest reports it.
+// Test adapts k to the TestResult interface used by the violation
+// detector: the statistic is |tau-b| and the p-value is the two-sided
+// Gaussian approximation.
 func (k KendallResult) Test() TestResult {
 	return TestResult{
 		Statistic:   math.Abs(k.TauB),

@@ -322,18 +322,19 @@ func TestKendallDetectsMonotoneDependence(t *testing.T) {
 func TestKendallTestAdapter(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 6}
 	y := []float64{6, 5, 4, 3, 2, 1}
-	res, err := KendallTest(x, y)
+	k, err := Kendall(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := k.Test()
 	if res.Statistic != 1 {
 		t.Errorf("|tauB| = %v, want 1", res.Statistic)
 	}
 	if res.N != 6 {
 		t.Errorf("N = %d", res.N)
 	}
-	if _, err := KendallTest([]float64{1}, []float64{2, 3}); err == nil {
-		t.Error("adapter should propagate errors")
+	if res.P != k.P || res.Approximate != k.Approximate {
+		t.Errorf("Test() = %+v, want P %v and Approximate %v from %+v", res, k.P, k.Approximate, k)
 	}
 }
 

@@ -106,8 +106,8 @@ func encodeManifest(m *Manifest) ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// decodeManifest parses and validates a manifest. Like decodeSegment it
-// must never panic on arbitrary bytes (FuzzManifest pins that): every
+// decodeManifest parses and validates a manifest. Like the segment reader
+// it must never panic on arbitrary bytes (FuzzManifest pins that): every
 // structural invariant is checked and reported as an error.
 func decodeManifest(data []byte) (*Manifest, error) {
 	var m Manifest

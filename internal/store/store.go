@@ -24,6 +24,7 @@
 package store
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -385,41 +386,6 @@ func (s *Store) Drop(name string) error {
 	return syncDir(s.dir)
 }
 
-// Scan streams a dataset's segments in manifest order, invoking fn once
-// per decoded segment. Only one segment is resident at a time, which is
-// what lets materialization (and future shard-local processing) handle
-// datasets larger than any single allocation comfortably.
-func (s *Store) Scan(name string, fn func(*Segment) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	dir := filepath.Join(s.dir, datasetDir(name))
-	m, err := readManifest(dir)
-	if err != nil {
-		return err
-	}
-	return scanSegments(dir, m, fn)
-}
-
-func scanSegments(dir string, m *Manifest, fn func(*Segment) error) error {
-	for _, si := range m.Segments {
-		data, err := os.ReadFile(filepath.Join(dir, si.File))
-		if err != nil {
-			return err
-		}
-		seg, err := decodeSegment(data)
-		if err != nil {
-			return fmt.Errorf("store: segment %s: %w", si.File, err)
-		}
-		if seg.Rows != si.Rows {
-			return fmt.Errorf("store: segment %s holds %d rows, manifest says %d", si.File, seg.Rows, si.Rows)
-		}
-		if err := fn(seg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Load materializes a dataset into a relation by streaming its segments
 // through a relation.Builder, and returns it with the manifest it was
 // built from. The result is bit-identical to building the relation from
@@ -454,7 +420,7 @@ func materialize(dir string, m *Manifest) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	err = scanSegments(dir, m, func(seg *Segment) error {
+	err = scanManifestChunks(context.Background(), dir, m, 0, func(seg *Segment) error {
 		if len(seg.Cols) != len(m.Schema) {
 			return fmt.Errorf("store: segment has %d columns, schema has %d", len(seg.Cols), len(m.Schema))
 		}

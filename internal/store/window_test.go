@@ -33,6 +33,27 @@ func flattenSegment(seg *Segment) []string {
 	return rows
 }
 
+// flattenRelation renders a relation's rows as flattenSegment does.
+func flattenRelation(rel *relation.Relation) []string {
+	rows := make([]string, rel.NumRows())
+	for i := range rows {
+		var sb strings.Builder
+		for ci, name := range rel.Columns() {
+			if ci > 0 {
+				sb.WriteByte('|')
+			}
+			c := rel.MustColumn(name)
+			if c.Kind == relation.Categorical {
+				sb.WriteString(c.StringAt(i))
+			} else {
+				fmt.Fprintf(&sb, "%x", c.Value(i))
+			}
+		}
+		rows[i] = sb.String()
+	}
+	return rows
+}
+
 func TestScanChunksMatchesScan(t *testing.T) {
 	s := openStore(t, t.TempDir())
 	if _, err := s.Replace("weather", testRel(t)); err != nil {
@@ -41,16 +62,9 @@ func TestScanChunksMatchesScan(t *testing.T) {
 	if _, err := s.Append("weather", testBatch(t)); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-
-	var want []string
-	if err := s.Scan("weather", func(seg *Segment) error {
-		want = append(want, flattenSegment(seg)...)
-		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
+	want := append(flattenRelation(testRel(t)), flattenRelation(testBatch(t))...)
 	if len(want) != 8 {
-		t.Fatalf("Scan yielded %d rows, want 8", len(want))
+		t.Fatalf("the stored relations hold %d rows, want 8", len(want))
 	}
 
 	for _, maxRows := range []int{0, 1, 3, 100} {
@@ -139,30 +153,37 @@ func TestReadWindowBounds(t *testing.T) {
 	if _, err := s.Replace("weather", rel); err != nil {
 		t.Fatalf("Replace: %v", err)
 	}
-	r, err := OpenSegment(segmentPaths(t, s, "weather")[0])
+	f, err := os.Open(segmentPaths(t, s, "weather")[0])
 	if err != nil {
-		t.Fatalf("OpenSegment: %v", err)
+		t.Fatal(err)
 	}
-	defer r.Close()
-	if r.Rows() != rel.NumRows() {
-		t.Fatalf("Rows %d want %d", r.Rows(), rel.NumRows())
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bad := range [][2]int{{-1, 2}, {0, r.Rows() + 1}, {3, 2}} {
-		if _, err := r.ReadWindow(bad[0], bad[1]); err == nil {
-			t.Fatalf("ReadWindow%v: want error", bad)
+	r, err := newSegmentReader(f, fi.Size(), &scanBuffers{})
+	if err != nil {
+		t.Fatalf("newSegmentReader: %v", err)
+	}
+	if r.rows != rel.NumRows() {
+		t.Fatalf("rows %d want %d", r.rows, rel.NumRows())
+	}
+	var seg Segment
+	for _, bad := range [][2]int{{-1, 2}, {0, r.rows + 1}, {3, 2}} {
+		if err := r.readWindowInto(bad[0], bad[1], &seg); err == nil {
+			t.Fatalf("readWindowInto%v: want error", bad)
 		}
 	}
 	// A mid-segment window must equal the same rows of a full decode.
-	full, err := r.ReadWindow(0, r.Rows())
-	if err != nil {
+	if err := r.readWindowInto(0, r.rows, &seg); err != nil {
 		t.Fatal(err)
 	}
-	mid, err := r.ReadWindow(2, 5)
-	if err != nil {
+	wantRows := flattenSegment(&seg)[2:5]
+	if err := r.readWindowInto(2, 5, &seg); err != nil {
 		t.Fatal(err)
 	}
-	wantRows := flattenSegment(full)[2:5]
-	gotRows := flattenSegment(mid)
+	gotRows := flattenSegment(&seg)
 	for i := range wantRows {
 		if gotRows[i] != wantRows[i] {
 			t.Fatalf("row %d: %q want %q", i, gotRows[i], wantRows[i])

@@ -27,6 +27,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"scoded/internal/stats"
 )
@@ -417,6 +418,7 @@ type ConditionalNumericMonitor struct {
 	window     int
 	minStratum int
 	strata     map[string]*NumericMonitor
+	keys       []string // stratum keys, sorted: the order Verdict combines them in
 }
 
 // NewConditionalNumericMonitor creates a per-stratum numeric monitor for
@@ -445,17 +447,29 @@ func (m *ConditionalNumericMonitor) Insert(z string, x, y float64) {
 	if !ok {
 		sm, _ = NewNumericMonitor(m.alpha, m.dependence, m.window)
 		m.strata[z] = sm
+		m.keys = insertSorted(m.keys, z)
 	}
 	sm.Insert(x, y)
 }
 
+// insertSorted inserts k, absent from the sorted keys, in order.
+func insertSorted(keys []string, k string) []string {
+	i := sort.SearchStrings(keys, k)
+	keys = append(keys, "")
+	copy(keys[i+1:], keys[i:])
+	keys[i] = k
+	return keys
+}
+
 // Verdict combines the per-stratum z-scores by the sqrt(n)-weighted
-// Stouffer rule over the eligible strata.
+// Stouffer rule over the eligible strata, in sorted key order as the batch
+// detector does, so repeated calls answer the same bits.
 func (m *ConditionalNumericMonitor) Verdict() Verdict {
 	var num, den float64
 	n := 0
 	eligible := 0
-	for _, sm := range m.strata {
+	for _, k := range m.keys {
+		sm := m.strata[k]
 		n += sm.N()
 		if sm.N() < m.minStratum {
 			continue
@@ -486,6 +500,7 @@ type ConditionalMonitor struct {
 	window     int
 	minStratum int
 	strata     map[string]*CategoricalMonitor
+	keys       []string // stratum keys, sorted: the order Verdict combines them in
 }
 
 // NewConditionalMonitor creates a per-stratum monitor for
@@ -514,16 +529,20 @@ func (m *ConditionalMonitor) Insert(z, x, y string) {
 	if !ok {
 		sm, _ = NewCategoricalMonitor(m.alpha, m.dependence, m.window)
 		m.strata[z] = sm
+		m.keys = insertSorted(m.keys, z)
 	}
 	sm.Insert(x, y)
 }
 
 // Verdict combines the per-stratum G statistics (summed G and degrees of
-// freedom, referred to the chi-squared with the summed df).
+// freedom, referred to the chi-squared with the summed df), in sorted key
+// order as the batch detector does, so repeated calls answer the same
+// bits.
 func (m *ConditionalMonitor) Verdict() Verdict {
 	var g float64
 	var df, n int
-	for _, sm := range m.strata {
+	for _, k := range m.keys {
+		sm := m.strata[k]
 		n += sm.n
 		if sm.n < m.minStratum {
 			continue

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -352,6 +354,50 @@ func TestConditionalNumericMonitorMatchesBatchStouffer(t *testing.T) {
 	v := m.Verdict()
 	if math.Abs(v.Statistic-wantZ) > 1e-9 || math.Abs(v.P-wantP) > 1e-9 {
 		t.Errorf("monitor z=%v p=%v, batch z=%v p=%v", v.Statistic, v.P, wantZ, wantP)
+	}
+}
+
+// TestConditionalVerdictSumsStrataInKeyOrder: both conditional monitors
+// combine their strata in sorted key order, as the batch detector does, so
+// repeated verdicts answer identical bits, equal to a reference combined
+// in that order.
+func TestConditionalVerdictSumsStrataInKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	num, _ := NewConditionalNumericMonitor(0.05, false, 0, 5)
+	cat, _ := NewConditionalMonitor(0.05, false, 0, 5)
+	for i := 0; i < 20000; i++ {
+		z := fmt.Sprintf("s%02d", rng.Intn(40))
+		x := rng.NormFloat64()
+		num.Insert(z, x, 0.1*x+rng.NormFloat64())
+		cat.Insert(z, fmt.Sprint(rng.Intn(3)), fmt.Sprint(rng.Intn(4)))
+	}
+	keys := make([]string, 0, len(num.strata))
+	for k := range num.strata {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var zs []float64
+	var ns []int
+	var parts []stats.TestResult
+	for _, k := range keys {
+		sm := num.strata[k]
+		zs = append(zs, sm.Verdict().Statistic)
+		ns = append(ns, sm.N())
+		cm := cat.strata[k]
+		parts = append(parts, stats.TestResult{Statistic: cm.G(), DF: (len(cm.rowMarg) - 1) * (len(cm.colMarg) - 1), N: cm.n})
+	}
+	wantZ, _, err := stats.StoufferZ(zs, ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantG := stats.CombineG(parts)
+	for call := 0; call < 200; call++ {
+		if got := num.Verdict().Statistic; math.Float64bits(got) != math.Float64bits(wantZ) {
+			t.Fatalf("numeric call %d: z = %v (%x), want %v (%x)", call, got, math.Float64bits(got), wantZ, math.Float64bits(wantZ))
+		}
+		if got := cat.Verdict(); math.Float64bits(got.Statistic) != math.Float64bits(wantG.Statistic) || got.DF != wantG.DF {
+			t.Fatalf("categorical call %d: G = %v df %d, want %v df %d", call, got.Statistic, got.DF, wantG.Statistic, wantG.DF)
+		}
 	}
 }
 
