@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -109,6 +110,10 @@ func runCheckAll(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
+// finite reports whether v is neither NaN nor ±Inf, the values
+// NumericMonitor.Insert accepts.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // runWatch implements `scoded watch`: stream numeric or categorical value
 // pairs (one "x,y" per line) from a reader through an online monitor,
 // reporting the verdict at a fixed cadence and whenever it flips. An
@@ -169,6 +174,9 @@ func runWatch(ctx context.Context, args []string, in io.Reader, out io.Writer) e
 			y, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 			if err != nil {
 				return fmt.Errorf("line %d: %w", n+1, err)
+			}
+			if !finite(x) || !finite(y) {
+				return fmt.Errorf("line %d: non-finite value in %q", n+1, line)
 			}
 			numMon.Insert(x, y)
 		} else {

@@ -123,6 +123,22 @@ func TestRunWatchErrors(t *testing.T) {
 	if err := runWatch(context.Background(), nil, strings.NewReader("a,b\n"), &out); err == nil {
 		t.Error("want error for non-numeric values in numeric mode")
 	}
+	// ParseFloat accepts NaN and Inf, which the numeric monitor does not.
+	// A NaN inside a turning window used to panic in the index rebuild.
+	var turning strings.Builder
+	for i := 0; i < 300; i++ {
+		turning.WriteString(fmtFloat(float64(i%17)) + "," + fmtFloat(float64(i%5)) + "\n")
+	}
+	turning.WriteString("NaN,0.5\n")
+	for i := 0; i < 300; i++ {
+		turning.WriteString(fmtFloat(float64(i%13)) + "," + fmtFloat(float64(i%7)) + "\n")
+	}
+	for _, in := range []string{"1,2\nNaN,0.5\n", "1,2\n3,+Inf\n", "-Inf,1\n", turning.String()} {
+		err := runWatch(context.Background(), []string{"-window", "200"}, strings.NewReader(in), &out)
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("want a non-finite line error, got %v", err)
+		}
+	}
 }
 
 func fmtFloat(v float64) string {

@@ -178,9 +178,7 @@ func (f *Fenwick) Total() int64 { return f.prefix(f.n - 1) }
 // amortize both allocations.
 //
 // Contract: on return, scratch[:distinct] holds the ascending distinct
-// values of v (rank r corresponds to scratch[r]). CompressRanksUniqInto
-// and the streaming concordance index rely on this to rank later query
-// values against the same universe.
+// values of v (rank r corresponds to scratch[r]).
 func CompressRanksInto(v []float64, ranks []int, scratch []float64) ([]int, int, []float64) {
 	scratch = append(scratch[:0], v...)
 	sort.Float64s(scratch)

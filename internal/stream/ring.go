@@ -1,76 +1,7 @@
 package stream
 
-// pointRing is a FIFO ring buffer of (x, y) observations. Eviction is O(1)
-// — the fix for the seed-era removeAt slice shift, whose memmove made
-// eviction cost grow linearly with the window — and steady-state push/pop
-// on a full window allocates nothing.
-type pointRing struct {
-	xs, ys []float64
-	head   int
-	count  int
-}
-
-func (r *pointRing) len() int { return r.count }
-
-// push appends an observation, growing the backing arrays (doubling) only
-// while the window is still filling.
-func (r *pointRing) push(x, y float64) {
-	if r.count == len(r.xs) {
-		r.grow()
-	}
-	i := r.head + r.count
-	if i >= len(r.xs) {
-		i -= len(r.xs)
-	}
-	r.xs[i], r.ys[i] = x, y
-	r.count++
-}
-
-// popFront removes and returns the oldest observation.
-func (r *pointRing) popFront() (x, y float64) {
-	x, y = r.xs[r.head], r.ys[r.head]
-	r.head++
-	if r.head == len(r.xs) {
-		r.head = 0
-	}
-	r.count--
-	return x, y
-}
-
-// at returns the i-th oldest resident observation.
-func (r *pointRing) at(i int) (x, y float64) {
-	j := r.head + i
-	if j >= len(r.xs) {
-		j -= len(r.xs)
-	}
-	return r.xs[j], r.ys[j]
-}
-
-// appendTo appends the resident observations in arrival order.
-func (r *pointRing) appendTo(xs, ys []float64) ([]float64, []float64) {
-	for i := 0; i < r.count; i++ {
-		x, y := r.at(i)
-		xs = append(xs, x)
-		ys = append(ys, y)
-	}
-	return xs, ys
-}
-
-func (r *pointRing) grow() {
-	n := 2 * len(r.xs)
-	if n < 8 {
-		n = 8
-	}
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := 0; i < r.count; i++ {
-		xs[i], ys[i] = r.at(i)
-	}
-	r.xs, r.ys, r.head = xs, ys, 0
-}
-
-// pairRing is the categorical twin: a FIFO ring of (x, y) string pairs
-// backing the windowed CategoricalMonitor, replacing the seed-era
+// pairRing is a FIFO ring of (x, y) string pairs backing the windowed
+// CategoricalMonitor, replacing the seed-era
 // `fifo = fifo[1:]` slice walk that leaked the backing array and
 // reallocated on every window turnover.
 type pairRing struct {

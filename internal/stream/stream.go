@@ -27,6 +27,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"scoded/internal/stats"
@@ -193,21 +194,44 @@ func (m *CategoricalMonitor) bumpAnchor() {
 }
 
 // anchor recomputes the three running sums exactly from the integer
-// counts, discarding any accumulated floating drift. Cost is O(cells),
-// amortized over anchorEvery mutations; it allocates nothing.
+// counts, discarding any accumulated floating drift. Each sum is exact
+// until its conversion to float64, so its bits depend on the counts alone,
+// not on the order the maps iterate in. Cost is O(cells), amortized over
+// anchorEvery mutations; it allocates nothing.
 func (m *CategoricalMonitor) anchor() {
 	m.mutations = 0
-	var o, r, c ksum
-	for _, v := range m.joint {
-		o.add(xlnx(float64(v)))
+	m.sumOlnO = anchorSum(m.joint)
+	m.sumRlnR = anchorSum(m.rowMarg)
+	m.sumClnC = anchorSum(m.colMarg)
+}
+
+// anchorSum returns Σ v·ln v over the map's counts, accumulated exactly
+// as a 128-bit fixed-point number with 64 fraction bits, then converted to
+// float64. A count of at least 2 gives a term of at least 2·ln 2, whose
+// bits all lie at or above 2⁻⁵², and N·ln N bounds the total for N
+// records, so the accumulation is exact while the monitor holds fewer
+// than 2⁵⁷ records.
+func anchorSum[K comparable](counts map[K]int) ksum {
+	var hi, lo uint64
+	for _, v := range counts {
+		b := math.Float64bits(xlnx(float64(v)))
+		if b == 0 {
+			continue // a count of 1 adds nothing
+		}
+		mant := b&(1<<52-1) | 1<<52
+		var thi, tlo uint64
+		// The term is mant·2^(e−1075) for the biased exponent e, so
+		// mant·2^shift units of 2⁻⁶⁴.
+		if shift := int(b>>52) - 1011; shift < 64 {
+			thi, tlo = mant>>(64-shift), mant<<shift
+		} else {
+			thi = mant << (shift - 64)
+		}
+		var carry uint64
+		lo, carry = bits.Add64(lo, tlo, 0)
+		hi += thi + carry
 	}
-	for _, v := range m.rowMarg {
-		r.add(xlnx(float64(v)))
-	}
-	for _, v := range m.colMarg {
-		c.add(xlnx(float64(v)))
-	}
-	m.sumOlnO, m.sumRlnR, m.sumClnC = o, r, c
+	return ksum{v: float64(hi) + float64(lo)*0x1p-64}
 }
 
 // N returns the current record count.
@@ -248,15 +272,11 @@ type NumericMonitor struct {
 	dependence bool
 	window     int
 
-	win pointRing // resident observations, in arrival order
-	s   int64     // current nc - nd, exact
-	idx concordanceIndex
+	idx concordanceIndex // resident observations, in arrival order
+	s   int64            // current nc - nd, exact
 
 	xTies *tieTracker
 	yTies *tieTracker
-
-	// rebuild scratch, reused
-	rx, ry []float64
 }
 
 // NewNumericMonitor creates a numeric monitor; see NewCategoricalMonitor
@@ -282,46 +302,35 @@ func NewNumericMonitor(alpha float64, dependence bool, window int) (*NumericMoni
 // Insert adds one observation, evicting the oldest when the window is
 // full.
 func (m *NumericMonitor) Insert(x, y float64) {
-	if m.window > 0 && m.win.len() >= m.window {
+	if m.window > 0 && m.idx.len() >= m.window {
 		m.evictOldest()
 	}
 	m.s += m.idx.signedSum(x, y)
 	m.idx.add(x, y)
-	m.win.push(x, y)
 	m.xTies.add(x)
 	m.yTies.add(y)
-	m.maybeRebuild()
 }
 
 // evictOldest removes the oldest observation. The signed sum is queried
 // while the point is still resident: its self-term is zero, so the result
 // is exactly its concordance against every other resident.
 func (m *NumericMonitor) evictOldest() {
-	x, y := m.win.popFront()
+	x, y := m.idx.oldest()
 	m.s -= m.idx.signedSum(x, y)
-	m.idx.drop(x, y)
+	m.idx.drop()
 	m.xTies.remove(x)
 	m.yTies.remove(y)
-	m.maybeRebuild()
-}
-
-func (m *NumericMonitor) maybeRebuild() {
-	if m.idx.pending() <= m.idx.limit {
-		return
-	}
-	m.rx, m.ry = m.win.appendTo(m.rx[:0], m.ry[:0])
-	m.idx.rebuild(m.rx, m.ry)
 }
 
 // N returns the current observation count.
-func (m *NumericMonitor) N() int { return m.win.len() }
+func (m *NumericMonitor) N() int { return m.idx.len() }
 
 // PairSum returns the current nc - nd.
 func (m *NumericMonitor) PairSum() float64 { return float64(m.s) }
 
 // TauB returns the current tie-corrected Kendall coefficient.
 func (m *NumericMonitor) TauB() float64 {
-	n := int64(m.win.len())
+	n := int64(m.idx.len())
 	n0 := n * (n - 1) / 2
 	den := math.Sqrt(float64(n0-m.xTies.pairs) * float64(n0-m.yTies.pairs))
 	if den <= 0 {
@@ -339,8 +348,8 @@ func (m *NumericMonitor) TauB() float64 {
 // Verdict evaluates the constraint on the current window using the
 // tie-corrected normal approximation.
 func (m *NumericMonitor) Verdict() Verdict {
-	n := float64(m.win.len())
-	v := Verdict{N: m.win.len()}
+	n := float64(m.idx.len())
+	v := Verdict{N: m.idx.len()}
 	if n < 2 {
 		v.P = 1
 		v.Violated = decide(v.P, m.alpha, m.dependence)
@@ -441,7 +450,9 @@ func NewConditionalNumericMonitor(alpha float64, dependence bool, window, minStr
 	}, nil
 }
 
-// Insert routes an observation to its stratum.
+// Insert routes an observation to its stratum. As for
+// NumericMonitor.Insert, x and y must be finite: the stratum's statistics
+// are undefined under NaN or ±Inf.
 func (m *ConditionalNumericMonitor) Insert(z string, x, y float64) {
 	sm, ok := m.strata[z]
 	if !ok {

@@ -484,6 +484,38 @@ func TestCategoricalMonitorFullWindowTurnover(t *testing.T) {
 	}
 }
 
+// TestCategoricalAnchorIgnoresMapOrder feeds two monitors the same
+// records and requires G's bits to agree after every 256 records. The
+// anchor re-sums three count maps; summed in map iteration order, which
+// differs between two maps with the same contents, the last bits of G
+// drifted apart between the monitors.
+func TestCategoricalAnchorIgnoresMapOrder(t *testing.T) {
+	const window, records, levels = 10000, 40000, 8
+	names := make([]string, levels)
+	for i := range names {
+		names[i] = fmt.Sprintf("v%d", i)
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		a, _ := NewCategoricalMonitor(0.05, false, window)
+		b, _ := NewCategoricalMonitor(0.05, false, window)
+		for i := 0; i < records; i++ {
+			x, y := rng.Intn(levels), rng.Intn(levels)
+			if rng.Float64() < 0.25 {
+				y = x
+			}
+			a.Insert(names[x], names[y])
+			b.Insert(names[x], names[y])
+			if i%256 != 255 {
+				continue
+			}
+			if ga, gb := math.Float64bits(a.G()), math.Float64bits(b.G()); ga != gb {
+				t.Fatalf("seed %d, record %d: G bits %#x and %#x differ for the same records", seed, i+1, ga, gb)
+			}
+		}
+	}
+}
+
 func TestCategoricalMonitorEvictToDegenerateWindow(t *testing.T) {
 	// Evict the entire varied content and replace it with a single
 	// repeated pair: df collapses to 0 and the verdict must be the

@@ -11,7 +11,8 @@
 // kernels are compared per type:
 //
 //   - incremental: the production stream.NumericMonitor (Fenwick
-//     concordance index, amortized O(√(w log w)) per record) and
+//     concordance index rebuilt by merging, amortized O(√(w log w)) per
+//     record) and
 //     stream.CategoricalMonitor (O(1) cell deltas);
 //   - naive: a from-scratch batch recompute of the same statistic over
 //     the window after every record (stats.Kendall / stats.GTest), the
@@ -24,6 +25,7 @@ package streambench
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"scoded/internal/stats"
@@ -208,8 +210,12 @@ type BenchResult struct {
 type Report struct {
 	Seed int64 `json:"seed"`
 	// Window is the sliding-window size every variant slides over.
-	Window  int           `json:"window"`
-	Results []BenchResult `json:"results"`
+	Window int `json:"window"`
+	// GOMAXPROCS records the scheduler parallelism the run had. Every
+	// variant runs on one goroutine; a second processor lets the garbage
+	// collector run beside it.
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	Results    []BenchResult `json:"results"`
 	// SpeedupNumeric is naive ns/op divided by incremental ns/op on the
 	// numeric window — the acceptance headline (target ≥ 10).
 	SpeedupNumeric float64 `json:"speedup_numeric"`
@@ -224,7 +230,7 @@ type Report struct {
 func Bench(seed int64, workers int) Report {
 	_ = workers
 	w := NewWorkload(seed)
-	rep := Report{Seed: seed, Window: w.Window}
+	rep := Report{Seed: seed, Window: w.Window, GOMAXPROCS: runtime.GOMAXPROCS(0)}
 
 	variants := []struct {
 		name string

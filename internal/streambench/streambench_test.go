@@ -1,8 +1,10 @@
 package streambench
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"scoded/internal/stream"
@@ -73,6 +75,42 @@ func BenchmarkNumericInsertEvict(b *testing.B) {
 				m.Insert(w.X[j], w.Y[j])
 			}
 		})
+	}
+}
+
+// verdictSink keeps the benchmarked verdicts live.
+var verdictSink stream.Verdict
+
+// BenchmarkNumericIngestBatch is the numeric shape of the ingest route:
+// each op is one 256-record batch into a full window of 10,000, values
+// rounded to four decimals as the end-to-end ingest workload sends them,
+// plus one verdict.
+func BenchmarkNumericIngestBatch(b *testing.B) {
+	const window, batch = 10000, 256
+	rng := rand.New(rand.NewSource(1))
+	round4 := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+	xs := make([]float64, 2*window+batch)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = round4(rng.NormFloat64())
+		ys[i] = round4(0.1*xs[i] + rng.NormFloat64())
+	}
+	m, err := stream.NewNumericMonitor(naiveAlpha, false, window)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := m.InsertBatch(ctx, xs[:window], ys[:window]); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := window + i*batch%window
+		if _, err := m.InsertBatch(ctx, xs[j:j+batch], ys[j:j+batch]); err != nil {
+			b.Fatal(err)
+		}
+		verdictSink = m.Verdict()
 	}
 }
 

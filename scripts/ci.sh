@@ -80,6 +80,15 @@ go test -race -shuffle=on \
 	-run 'Fuzz|Differential|Records|Alert|StreamMetrics|NaiveAndIncremental' \
 	./internal/stream/ ./internal/streambench/ ./internal/server/
 
+# Gating: ten seconds of fuzzing per monitor kind, beyond the committed
+# seeds the suite above runs. The numeric index carries its sorted
+# snapshot across rebuilds and merges new points into it, so a fault can
+# hide in state that only a long or unusual insert/evict sequence
+# reaches. The categorical target crosses the Kahan re-anchor boundary.
+echo "== streaming monitor fuzz =="
+go test -run='^$' -fuzz=FuzzNumericMonitorIncremental -fuzztime=10s ./internal/stream
+go test -run='^$' -fuzz=FuzzCategoricalMonitorIncremental -fuzztime=10s ./internal/stream
+
 # Gating: restart durability against real processes. The smoke builds
 # scoded-serve, accumulates durable state (upload + append + constraints +
 # an observed monitor), SIGTERMs the process, restarts it on the same data
