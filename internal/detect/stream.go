@@ -18,11 +18,12 @@ import (
 // segments instead of a materialized relation. One scan serves the whole
 // family: the fold buffers each column the family reads once, shared by
 // every pair and conditioning list, and keeps each stratum's row indices.
-// A stratum's codes, table, values or Kendall result are built from the
-// buffers inside its test, from the inputs the resident kernels read, so
-// every method — the exact tests and the AutoExact fallback included — is
-// bit-identical to CheckAllContext (pinned by TestCheckAllStreamIdentity
-// and FuzzCheckAllPaths).
+// A stratum's codes, table or values are built from the buffers inside its
+// test, and τ counts on rank views the fold builds once per column and
+// stratum, from the inputs the resident kernels read, so every method —
+// the exact tests and the AutoExact fallback included — is bit-identical
+// to CheckAllContext (pinned by TestCheckAllStreamIdentity and
+// FuzzCheckAllPaths).
 
 // CheckAllStream checks a family of approximate SCs against a streamed
 // dataset. The result slice is element-for-element identical (same
@@ -33,11 +34,12 @@ import (
 // plans every constraint exactly as check does, lists the distinct
 // stratified pairs the plans read, and folds them all in a single
 // kernel.Streamer pass. The constraints then run on the engine pool like
-// the resident family's, each stratum's statistics built inside its test
-// and dropped after it. If the scan fails, every constraint it served
-// reports the scan's error; constraints that failed their own planning (a
-// missing column, say) keep that error. When ctx ends mid-family, finished
-// constraints keep their results and the rest report the context error.
+// the resident family's, each stratum's statistics built inside its test,
+// τ's from rank views the fold keeps. If the scan fails, every constraint
+// it served reports the scan's error; constraints that failed their own
+// planning (a missing column, say) keep that error. When ctx ends
+// mid-family, finished constraints keep their results and the rest report
+// the context error.
 func CheckAllStream(ctx context.Context, st *kernel.Streamer, as []sc.Approximate, opts BatchOptions) ([]Result, error) {
 	if err := checkFDR(opts.FDR); err != nil {
 		return nil, err
@@ -101,7 +103,7 @@ func (s *streamSource) stratify(_ context.Context, z []string, x, y string, opts
 }
 
 // streamStrata is one pair of a family fold. Its statistics are built from
-// the fold's buffers on every call and belong to the caller.
+// the fold's buffers on every call, τ's from the fold's rank views.
 type streamStrata struct {
 	fold *kernel.StreamFold
 	pair int
@@ -126,5 +128,5 @@ func (s streamStrata) floats(_ context.Context, i int) (x, y []float64, err erro
 }
 
 func (s streamStrata) kendall(_ context.Context, i int) (stats.KendallResult, error) {
-	return stats.Kendall(s.fold.Floats(s.pair, i))
+	return stats.KendallRanks(s.fold.Ranks(s.pair, i))
 }

@@ -254,12 +254,28 @@ func TestTauDSCDrilldownFindsImputedValues(t *testing.T) {
 func initBenefits(x, y []float64) []float64 {
 	recs := make([]tauRec, len(x))
 	var scratch tauScratch
-	scratch.initBenefits(recs, x, y)
+	scratch.initBenefits(recs, stats.DenseRanks(x), stats.DenseRanks(y))
 	benefit := make([]float64, len(x))
 	for i, r := range recs {
 		benefit[i] = float64(r.c)
 	}
 	return benefit
+}
+
+// pairWeight is 1 for a concordant pair, -1 for discordant, 0 for tied,
+// read off the values: the oracle the rank-based weights are checked by.
+// It compares, never subtracts: Inf-Inf is NaN, which would turn a pair
+// tied at an infinity into a concordant or discordant one.
+func pairWeight(x1, y1, x2, y2 float64) float64 {
+	switch {
+	//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
+	case x1 == x2 || y1 == y2:
+		return 0
+	case (x1 > x2) == (y1 > y2):
+		return 1
+	default:
+		return -1
+	}
 }
 
 // TestInitBenefitsMatchesNaive: the Fenwick init and the pairwise sum of

@@ -11,13 +11,13 @@ import (
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 	"scoded/internal/segtree"
+	"scoded/internal/stats"
 )
 
 // tauStratum holds the drill-down state for one conditioning stratum of a
 // numeric constraint.
 type tauStratum struct {
 	rows    []int     // original row indices
-	x, y    []float64 // column values, parallel to rows
 	contrib []float64 // per-record concordant-minus-discordant pair sum (linear path)
 	alive   []bool
 	s       float64 // current nc - nd of the stratum
@@ -25,7 +25,8 @@ type tauStratum struct {
 
 	// The delta greedy's packed stratum (DESIGN.md §10): the live records
 	// in any order, each removal filling its hole with the last one, and
-	// the index in live of the current best candidate.
+	// the index in live of the current best candidate. The linear path
+	// keeps live in position order.
 	live []tauRec
 	best int
 }
@@ -55,9 +56,9 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 	}
 	// One arena per drill-down: the per-stratum packed records and alive
 	// flags (and the linear reference's float contributions) are carved out
-	// of shared buffers, and the benefit-initialization scratch (sort order,
-	// rank buffers, Fenwick trees) is reused across strata, so the setup cost
-	// is a handful of allocations independent of the stratum count.
+	// of shared buffers, and the benefit-initialization scratch (sort order
+	// and Fenwick tree) is reused across strata, so the setup cost is a
+	// handful of allocations independent of the stratum count.
 	recArena := make([]tauRec, total)
 	aliveArena := make([]bool, total)
 	var contribArena []float64
@@ -68,18 +69,20 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 	used := 0
 	for si, rows := range strataRows {
 		st := &tauStratum{rows: rows}
-		// Cached column values are shared read-only: the greedy loops only
-		// read x and y, and mutate the stratum-private records.
-		if st.x, err = orderedFloats(ctx, d, opts.Cache, c.X[0], strataKeys[si], rows); err != nil {
+		// Cached rank views are shared read-only: init copies the ranks
+		// into the stratum-private records, which the greedy loops mutate.
+		xr, err := orderedRanks(ctx, d, opts.Cache, c.X[0], strataKeys[si], rows)
+		if err != nil {
 			return Result{}, err
 		}
-		if st.y, err = orderedFloats(ctx, d, opts.Cache, c.Y[0], strataKeys[si], rows); err != nil {
+		yr, err := orderedRanks(ctx, d, opts.Cache, c.Y[0], strataKeys[si], rows)
+		if err != nil {
 			return Result{}, err
 		}
 		end := used + len(rows)
 		st.live = recArena[used:end:end]
 		st.alive = aliveArena[used:end:end]
-		scratch.initBenefits(st.live, st.x, st.y)
+		scratch.initBenefits(st.live, xr, yr)
 		var sum int64
 		for i, r := range st.live {
 			st.alive[i] = true
@@ -118,16 +121,15 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 	return res, nil
 }
 
-// orderedFloats returns a stratum's values of a numeric column. It rejects
-// NaN, as stats.Kendall does for detection: NaN has no rank, so Algorithm
-// 2's init and the greedy rounds would disagree on its pair weights.
-func orderedFloats(ctx context.Context, d *relation.Relation, cache *kernel.Cache, col, rowsKey string, rows []int) ([]float64, error) {
-	v, err := cache.FloatsContext(ctx, d, col, rowsKey, rows)
+// orderedRanks returns a stratum's rank view of a numeric column. It
+// rejects NaN, as stats.Kendall does for detection: NaN has no rank.
+func orderedRanks(ctx context.Context, d *relation.Relation, cache *kernel.Cache, col, rowsKey string, rows []int) (stats.RankView, error) {
+	v, err := cache.RanksContext(ctx, d, col, rowsKey, rows)
 	if err != nil {
-		return nil, fmt.Errorf("drilldown: %w", err)
+		return stats.RankView{}, fmt.Errorf("drilldown: %w", err)
 	}
-	if slices.ContainsFunc(v, math.IsNaN) {
-		return nil, fmt.Errorf("drilldown: column %q contains NaN; tau needs ordered values", col)
+	if v.NaN >= 0 {
+		return stats.RankView{}, fmt.Errorf("drilldown: column %q contains NaN; tau needs ordered values", col)
 	}
 	return v, nil
 }
@@ -192,17 +194,20 @@ func tauGreedyLinear(ctx context.Context, strata []*tauStratum, rounds int, depe
 }
 
 // removeRecord takes record i out of the stratum and updates the surviving
-// contributions: pair weights with the removed record disappear.
+// contributions: pair weights with the removed record disappear. A pair's
+// weight is 1 when concordant, -1 when discordant and 0 when tied: the
+// sign of the product of its rank differences.
 func (st *tauStratum) removeRecord(i int) {
 	st.alive[i] = false
 	st.nAlive--
 	st.s -= st.contrib[i]
-	xi, yi := st.x[i], st.y[i]
+	gone := st.live[i]
 	for j, ok := range st.alive {
 		if !ok {
 			continue
 		}
-		st.contrib[j] -= pairWeight(xi, yi, st.x[j], st.y[j])
+		r := st.live[j]
+		st.contrib[j] -= float64(sign64(int64(r.xr-gone.xr) * int64(r.yr-gone.yr)))
 	}
 }
 
@@ -215,21 +220,6 @@ func improvement(s, contrib float64, dependence bool) float64 {
 		return -delta
 	}
 	return delta
-}
-
-// pairWeight is 1 for a concordant pair, -1 for discordant, 0 for tied.
-// It compares, never subtracts: Inf-Inf is NaN, which would turn a pair
-// tied at an infinity into a concordant or discordant one.
-func pairWeight(x1, y1, x2, y2 float64) float64 {
-	switch {
-	//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-	case x1 == x2 || y1 == y2:
-		return 0
-	case (x1 > x2) == (y1 > y2):
-		return 1
-	default:
-		return -1
-	}
 }
 
 // scan finds the stratum's first best candidate; see sweep.
@@ -302,87 +292,75 @@ func survivors(strata []*tauStratum, k int) []int {
 }
 
 // tauScratch holds the reusable buffers of the benefit initialization so a
-// multi-stratum drill-down allocates the sort order, rank and Fenwick
-// buffers once instead of once per stratum. The zero value is ready to use.
+// multi-stratum drill-down allocates the sort order and the Fenwick tree
+// once instead of once per stratum. The zero value is ready to use.
 type tauScratch struct {
-	order  []int
-	ranks  []int
-	sorted []float64
-	t1, t2 *segtree.Fenwick
+	order, ends []int32
+	tree        segtree.Fenwick
 }
 
-// initBenefits fills recs (parallel to x and y) with every record's dense x
-// and y ranks, its position, and its concordant-minus-discordant pair sum,
-// computed in O(n log n) with two Fenwick-tree passes over the
-// rank-compressed Y axis, exactly as in Algorithm 2: the ascending pass
-// accounts for pairs with smaller X, the descending pass for pairs with
-// larger X. Records tied on X are processed as a block — queried before any
-// of the block is inserted — so X-ties contribute zero weight; the blocks'
-// ordinals are the x ranks.
-func (ts *tauScratch) initBenefits(recs []tauRec, x, y []float64) {
-	n := len(x)
+// initBenefits fills recs (parallel to the rank views) with every record's
+// dense x and y ranks, its position, and its concordant-minus-discordant
+// pair sum, computed in O(n log n) with two Fenwick-tree passes over the
+// Y ranks, exactly as in Algorithm 2: the ascending pass accounts for
+// pairs with smaller X, the descending pass for pairs with larger X. A
+// stable counting sort on the x ranks orders the records into X-tie
+// blocks, and each block is queried before any of it is inserted, so
+// X-ties contribute zero weight.
+func (ts *tauScratch) initBenefits(recs []tauRec, x, y stats.RankView) {
+	n := len(recs)
 	if n == 0 {
 		return
 	}
-	var distinct int
-	ts.ranks, distinct, ts.sorted = segtree.CompressRanksInto(y, ts.ranks, ts.sorted)
-	yRank := ts.ranks
-	for i, r := range yRank {
-		recs[i] = tauRec{yr: int32(r), pos: int32(i)}
+	for i := range recs {
+		recs[i] = tauRec{xr: x.Ranks[i], yr: y.Ranks[i], pos: int32(i)}
+	}
+	ts.order, ts.ends = slices.Grow(ts.order[:0], n)[:n], slices.Grow(ts.ends[:0], x.Distinct)[:x.Distinct]
+	order, ends := ts.order, ts.ends
+	clear(ends)
+	for _, r := range x.Ranks {
+		ends[r]++
+	}
+	var start int32
+	for r, c := range ends {
+		ends[r], start = start, start+c
+	}
+	for i, r := range x.Ranks {
+		order[ends[r]] = int32(i)
+		ends[r]++
+	}
+	// ends[r] is now where X-tie block r ends.
+
+	// Ascending pass: the tree holds records with strictly smaller X.
+	t := &ts.tree
+	t.Reset(y.Distinct)
+	start = 0
+	for _, end := range ends {
+		for _, id := range order[start:end] {
+			yr := int(recs[id].yr)
+			recs[id].c += int32(t.CountBelow(yr) - t.CountAbove(yr))
+		}
+		for _, id := range order[start:end] {
+			t.Insert(int(recs[id].yr), 1)
+		}
+		start = end
 	}
 
-	if cap(ts.order) < n {
-		ts.order = make([]int, n)
-	}
-	order := ts.order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return x[order[a]] < x[order[b]] })
-
-	if ts.t1 == nil {
-		ts.t1, ts.t2 = segtree.NewFenwick(distinct), segtree.NewFenwick(distinct)
-	}
-	// Ascending pass: tree T1 holds records with strictly smaller X.
-	t1 := ts.t1
-	t1.Reset(distinct)
-	for i, xr := 0, int32(0); i < n; xr++ {
-		j := i
-		//scoded:lint-ignore floatcmp X-runs group exactly-equal sorted data values
-		for j+1 < n && x[order[j+1]] == x[order[i]] {
-			j++
+	// Descending pass: the tree holds records with strictly larger X.
+	t.Reset(y.Distinct)
+	end := int32(n)
+	for r := len(ends) - 1; r >= 0; r-- {
+		start = 0
+		if r > 0 {
+			start = ends[r-1]
 		}
-		for m := i; m <= j; m++ {
-			id := order[m]
-			nc := t1.CountBelow(yRank[id])
-			nd := t1.CountAbove(yRank[id])
-			recs[id].xr = xr
-			recs[id].c += int32(nc - nd)
+		for _, id := range order[start:end] {
+			yr := int(recs[id].yr)
+			recs[id].c += int32(t.CountAbove(yr) - t.CountBelow(yr))
 		}
-		for m := i; m <= j; m++ {
-			t1.Insert(yRank[order[m]], 1)
+		for _, id := range order[start:end] {
+			t.Insert(int(recs[id].yr), 1)
 		}
-		i = j + 1
-	}
-
-	// Descending pass: tree T2 holds records with strictly larger X.
-	t2 := ts.t2
-	t2.Reset(distinct)
-	for i := n - 1; i >= 0; {
-		j := i
-		//scoded:lint-ignore floatcmp X-runs group exactly-equal sorted data values
-		for j-1 >= 0 && x[order[j-1]] == x[order[i]] {
-			j--
-		}
-		for m := j; m <= i; m++ {
-			id := order[m]
-			nc := t2.CountAbove(yRank[id])
-			nd := t2.CountBelow(yRank[id])
-			recs[id].c += int32(nc - nd)
-		}
-		for m := j; m <= i; m++ {
-			t2.Insert(yRank[order[m]], 1)
-		}
-		i = j - 1
+		end = start
 	}
 }

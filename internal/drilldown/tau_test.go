@@ -8,6 +8,7 @@ import (
 
 	"scoded/internal/relation"
 	"scoded/internal/sc"
+	"scoded/internal/stats"
 )
 
 // TestTauInitAndKcRoundsHandComputed pins Algorithm 2's init (§5.3) and the
@@ -44,7 +45,7 @@ func TestTauInitAndKcRoundsHandComputed(t *testing.T) {
 	y := []float64{4, 2, 3, 1, 5, 3}
 	recs := make([]tauRec, len(x))
 	var scratch tauScratch
-	scratch.initBenefits(recs, x, y)
+	scratch.initBenefits(recs, stats.DenseRanks(x), stats.DenseRanks(y))
 	want := []tauRec{{2, 3, 3, 0}, {0, 1, 3, 1}, {3, 2, 2, 2}, {1, 0, 2, 3}, {4, 4, 5, 4}, {1, 2, 3, 5}}
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("init: %+v\nwant %+v", recs, want)

@@ -290,6 +290,10 @@ func floatsKey(col, rowsKey string) string {
 	return "floats" + keySep + col + keySep + rowsKey //scoded:lint-ignore allochot cache keys are built once per memoized artifact, not per row
 }
 
+func ranksKey(col, rowsKey string) string {
+	return "ranks" + keySep + col + keySep + rowsKey //scoded:lint-ignore allochot cache keys are built once per memoized artifact, not per row
+}
+
 func tableKey(x, y string, bins int, rowsKey string) string {
 	return "table" + keySep + x + keySep + y + keySep + strconv.Itoa(bins) + keySep + rowsKey //scoded:lint-ignore allochot cache keys are built once per memoized artifact, not per row
 }
@@ -430,23 +434,39 @@ func (c *Cache) TableContext(ctx context.Context, d *relation.Relation, x, y str
 	return tv.t, tv.kx, tv.ky, nil
 }
 
+// RanksContext returns the rank view of a numeric column over the given
+// row subset: the order τ reads, 4 bytes per row. It is ranked straight
+// from FloatsFor, so a column only τ reads caches no values. A NaN is
+// recorded in the view, not reported. The view is shared — callers must
+// not mutate it.
+func (c *Cache) RanksContext(ctx context.Context, d *relation.Relation, col, rowsKey string, rows []int) (stats.RankView, error) {
+	v, err := c.do(ctx, ranksKey(col, rowsKey), func() (any, error) {
+		return stats.DenseRanks(FloatsFor(d, col, rows)), nil
+	})
+	if err != nil {
+		return stats.RankView{}, err
+	}
+	return v.(stats.RankView), nil
+}
+
 // KendallPrepContext returns stats.Kendall of the (x, y) column pair over
-// the given row subset: the counts, tau, z and p of the one τ kernel, so a
-// warm lookup recounts nothing. Validation errors (NaN values, too-small
-// samples) are deterministic and cached alongside; a context error is
-// returned as-is and caches nothing. The name is kept for bench/replay.go,
-// which calls it.
+// the given row subset: the counts, tau, z and p of the one τ kernel,
+// counted on the two columns' cached rank views, so a warm lookup recounts
+// nothing. Validation errors (NaN values, too-small samples) are
+// deterministic and cached alongside; a context error is returned as-is
+// and caches nothing. The name is kept for bench/replay.go, which calls
+// it.
 func (c *Cache) KendallPrepContext(ctx context.Context, d *relation.Relation, x, y, rowsKey string, rows []int) (stats.KendallResult, error) {
 	v, err := c.do(ctx, tauKey(x, y, rowsKey), func() (any, error) {
-		xv, err := c.FloatsContext(ctx, d, x, rowsKey, rows)
+		xr, err := c.RanksContext(ctx, d, x, rowsKey, rows)
 		if err != nil {
 			return nil, err
 		}
-		yv, err := c.FloatsContext(ctx, d, y, rowsKey, rows)
+		yr, err := c.RanksContext(ctx, d, y, rowsKey, rows)
 		if err != nil {
 			return nil, err
 		}
-		k, err := stats.Kendall(xv, yv)
+		k, err := stats.KendallRanks(xr, yr)
 		return tauVal{k: k, err: err}, nil
 	})
 	if err != nil {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -209,5 +211,39 @@ func TestKendallPrepCachesErrors(t *testing.T) {
 	s := c.Stats()
 	if s.Hits == 0 {
 		t.Errorf("second lookup should hit, stats %+v", s)
+	}
+}
+
+// TestKendallPrepReadsRankViews: τ counts on the columns' cached rank
+// views, so a τ column caches its 4-byte ranks and no 8-byte values, and a
+// second pair on the same column reuses its view.
+func TestKendallPrepReadsRankViews(t *testing.T) {
+	ctx := context.Background()
+	d := testRelation(t)
+	c := New(d)
+	if _, err := c.KendallPrepContext(ctx, d, "U", "V", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for key := range c.state.entries {
+		kinds = append(kinds, key[:strings.IndexByte(key, 0)])
+	}
+	sort.Strings(kinds)
+	if !reflect.DeepEqual(kinds, []string{"ranks", "ranks", "tau"}) {
+		t.Fatalf("entries %v, want two ranks entries and a tau entry", kinds)
+	}
+	before := c.Stats()
+	if _, err := c.KendallPrepContext(ctx, d, "V", "U", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats(); after.Hits != before.Hits+2 || after.Entries != before.Entries+1 {
+		t.Errorf("the transposed pair should add one tau entry and hit both views: %+v then %+v", before, after)
+	}
+	view, err := c.RanksContext(ctx, d, "U", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := stats.DenseRanks(FloatsFor(d, "U", nil)); !reflect.DeepEqual(view, want) {
+		t.Errorf("cached view %+v, want %+v", view, want)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"scoded/internal/relation"
+	"scoded/internal/stats"
 	"scoded/internal/store"
 )
 
@@ -21,9 +23,11 @@ import (
 // order — and the pairs that share a conditioning list share one partition
 // of the rows, which keeps each stratum's row indices. A pair's codes or
 // values over one stratum are gathered from the buffers on demand and
-// belong to the caller. The fold therefore holds 8 bytes per row per
-// numeric column read, 4 per categorical column read and 4 per
-// conditioning list.
+// belong to the caller. A numeric column's rank views, which τ counts on,
+// are built per conditioning list and stratum on first use and shared by
+// every pair that reads them. The fold therefore holds 8 bytes per row per
+// numeric column read, 4 per categorical column read, 4 per conditioning
+// list, and 4 per numeric column and conditioning list a τ pair reads.
 //
 // Everything reproduces the resident kernels bit for bit. Categorical
 // values get dense codes in first-occurrence order over the stratum's rows
@@ -122,9 +126,9 @@ type StreamPair struct {
 }
 
 // StreamFold holds the per-stratum rows of every pair of one fold, indexed
-// like the pairs Fold was given, and the columns they read. It is
-// read-only once Fold returns, so concurrent calls of its methods are
-// safe.
+// like the pairs Fold was given, and the columns they read. Once Fold
+// returns, only the rank views change, each built once under its
+// sync.Once, so concurrent calls of its methods are safe.
 type StreamFold struct {
 	pairs []foldPair
 	cols  []foldBuffer // per source column; filled for those the pairs read
@@ -135,6 +139,13 @@ type foldPair struct {
 	part *foldPartition
 	x, y int // source columns
 	bins int
+}
+
+// rankSlot is one numeric column's rank view over one stratum, built on
+// first use.
+type rankSlot struct {
+	once sync.Once
+	view stats.RankView
 }
 
 // foldBuffer is one source column over every row of the scan, in row
@@ -154,6 +165,7 @@ type foldPartition struct {
 	index map[string]int32 // stratum key → stratum id; dropped after the scan
 	keys  []string         // key per stratum; sorted after the scan
 	rows  [][]int32        // per stratum, in keys order: its rows, ascending
+	ranks [][]rankSlot     // per source column its pairs read, if numeric: per stratum, its rank view
 }
 
 // firstCode returns v's code in m, assigning the next one on first sight:
@@ -258,6 +270,13 @@ func (s *Streamer) Fold(ctx context.Context, pairs []StreamPair) (*StreamFold, e
 	for _, part := range f.parts {
 		part.sortStrata()
 	}
+	for _, p := range out.pairs {
+		for _, c := range [2]int{p.x, p.y} {
+			if !out.cols[c].cat && p.part.ranks[c] == nil {
+				p.part.ranks[c] = make([]rankSlot, len(p.part.rows))
+			}
+		}
+	}
 	return out, nil
 }
 
@@ -296,6 +315,23 @@ func (f *StreamFold) Floats(pair, s int) (x, y []float64) {
 	p := f.pairs[pair]
 	rows := p.part.rows[s]
 	return gather(f.cols[p.x].floats, rows), gather(f.cols[p.y].floats, rows)
+}
+
+// Ranks returns pair i's X and Y rank views over stratum s:
+// stats.DenseRanks of Floats. Each is built on first use, once per column,
+// conditioning list and stratum, and shared by every pair that reads it,
+// so callers must not mutate them. Both columns must be numeric.
+func (f *StreamFold) Ranks(pair, s int) (x, y stats.RankView) {
+	p := f.pairs[pair]
+	return f.rankView(p.part, p.x, s), f.rankView(p.part, p.y, s)
+}
+
+// rankView returns numeric column c's view over stratum s of part, ranking
+// it on first use.
+func (f *StreamFold) rankView(part *foldPartition, c, s int) stats.RankView {
+	slot := &part.ranks[c][s]
+	slot.once.Do(func() { slot.view = stats.DenseRanks(gather(f.cols[c].floats, part.rows[s])) })
+	return slot.view
 }
 
 // codes returns buffered column c over a stratum's rows as CodesFor codes
@@ -377,7 +413,7 @@ type folder struct {
 // partition adds a partition over conditioning columns z. A marginal
 // partition's one stratum exists even over zero rows, and holds every row.
 func (f *folder) partition(z []int) *foldPartition {
-	p := &foldPartition{z: z, index: make(map[string]int32)} //scoded:lint-ignore allochot one stratum index per conditioning list, built once per fold
+	p := &foldPartition{z: z, index: make(map[string]int32), ranks: make([][]rankSlot, len(f.s.src.Columns))} //scoded:lint-ignore allochot one stratum index per conditioning list, built once per fold
 	if len(z) == 0 {
 		p.rows = [][]int32{make([]int32, 0, f.s.src.Rows)}
 		p.keys = []string{""}

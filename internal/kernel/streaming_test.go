@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"scoded/internal/relation"
@@ -160,7 +161,8 @@ func sameBits(a, b []float64) bool {
 // bound DESIGN.md section 16 states, 8 bytes per row per numeric column
 // read, 4 per categorical column read and 4 per conditioning list, give or
 // take a quarter for slice growth; a copy of the columns per partition
-// would need at least 72 bytes per row here.
+// would need at least 72 bytes per row here. Rank views for τ then add 4
+// per numeric column and conditioning list.
 func TestFoldBuffersColumnsOnce(t *testing.T) {
 	const rows = 1 << 16
 	rng := rand.New(rand.NewSource(1))
@@ -236,4 +238,91 @@ func TestFoldBuffersColumnsOnce(t *testing.T) {
 		t.Fatalf("fold retains %.1f bytes per row, want at most %.0f", perRow, bound)
 	}
 	t.Logf("fold retains %.1f bytes per row", perRow)
+
+	// τ over every numeric pair adds one rank view per numeric column and
+	// conditioning list, 4 bytes per row each: N0 to N3 under both lists.
+	for i, p := range pairs {
+		if p.X != "Grade" {
+			for s := range fold.Keys(i) {
+				fold.Ranks(i, s)
+			}
+		}
+	}
+	runtime.GC()
+	runtime.GC() // the second empties sync.Pool's victim cache of ranking scratch
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(fold)
+	runtime.KeepAlive(streamer) // and its chunks, through both readings
+	perRow = (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / rows
+	if bound := 1.25 * (8*4 + 4*1 + 4*2 + 4*8); perRow > bound {
+		t.Fatalf("fold and rank views retain %.1f bytes per row, want at most %.0f", perRow, bound)
+	}
+	t.Logf("fold and rank views retain %.1f bytes per row", perRow)
+}
+
+// TestFoldSharesRankViews: the pairs that read a numeric column under one
+// conditioning list share its rank view per stratum, built once even when
+// they ask at once, and the view is stats.DenseRanks of the pair's values.
+func TestFoldSharesRankViews(t *testing.T) {
+	rel := testRelation(t)
+	pairs := []StreamPair{
+		{Z: []string{"Z"}, X: "U", Y: "V"},
+		{Z: []string{"Z"}, X: "V", Y: "U"},
+		{X: "U", Y: "V"},
+	}
+	fold, err := chunkStreamer(t, rel, 64).Fold(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range pairs {
+		for s := range fold.Keys(i) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fold.Ranks(i, s)
+			}()
+		}
+	}
+	wg.Wait()
+	for s := range fold.Keys(0) {
+		u, v := fold.Ranks(0, s)
+		v1, u1 := fold.Ranks(1, s)
+		if &u.Ranks[0] != &u1.Ranks[0] || &v.Ranks[0] != &v1.Ranks[0] {
+			t.Errorf("stratum %d: pairs on one conditioning list built separate views", s)
+		}
+		x, y := fold.Floats(0, s)
+		if !reflect.DeepEqual(u, stats.DenseRanks(x)) || !reflect.DeepEqual(v, stats.DenseRanks(y)) {
+			t.Errorf("stratum %d: views differ from DenseRanks of the values", s)
+		}
+	}
+	u, _ := fold.Ranks(2, 0)
+	if u0, _ := fold.Ranks(0, 0); &u.Ranks[0] == &u0.Ranks[0] {
+		t.Error("the marginal pair shares a stratum's view")
+	}
+}
+
+// chunkStreamer streams rel in chunks of the given row count.
+func chunkStreamer(t *testing.T, rel *relation.Relation, chunk int) *Streamer {
+	t.Helper()
+	cols := make([]StreamColumn, 0, rel.NumCols())
+	for _, name := range rel.Columns() {
+		cols = append(cols, StreamColumn{Name: name, Kind: rel.MustColumn(name).Kind})
+	}
+	st, err := NewStreamer(StreamSource{
+		Columns: cols,
+		Rows:    rel.NumRows(),
+		Scan: func(_ context.Context, fn func(*store.Segment) error) error {
+			for lo := 0; lo < rel.NumRows(); lo += chunk {
+				if err := fn(chunkOf(rel, lo, min(lo+chunk, rel.NumRows()))); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatalf("NewStreamer: %v", err)
+	}
+	return st
 }

@@ -21,9 +21,9 @@ type FenwickMerge struct {
 
 // Rebuild points the structure at the points given by parallel rank
 // slices: point p has x-rank xr[p] in [0, ux) and y-rank yr[p], dense
-// compressed ranks in CompressRanksInto order. byY lists every point in
-// ascending y-rank (ties in any order); the caller keeps that order, so
-// Rebuild sorts nothing. The backing arrays are reused when they are
+// ranks in value order, as stats.DenseRanks assigns them. byY lists every
+// point in ascending y-rank (ties in any order); the caller keeps that
+// order, so Rebuild sorts nothing. The backing arrays are reused when they are
 // large enough, and the zero value is ready for Rebuild. Cost is
 // O(n log ux + ux).
 func (f *FenwickMerge) Rebuild(byY, xr, yr []int32, ux int) {

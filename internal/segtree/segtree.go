@@ -6,10 +6,7 @@
 // initialization passes of Algorithm 2 need.
 package segtree
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SegmentTree is a fixed-universe point-update / range-sum segment tree over
 // positions 0..n-1. It matches the structure described in Section 5.3 and
@@ -168,34 +165,3 @@ func (f *Fenwick) CountAbove(pos int) int64 { return f.prefix(f.n-1) - f.prefix(
 
 // Total returns the number of inserted points.
 func (f *Fenwick) Total() int64 { return f.prefix(f.n - 1) }
-
-// CompressRanksInto maps each value to its dense rank (0-based) among the
-// distinct values of v. Equal values share a rank, so tree counts of
-// "below"/"above" exclude ties, matching the concordant/discordant pair
-// definitions. ranks receives the per-value ranks (grown if too small) and
-// scratch is used for the sort pass. It returns the ranks, the distinct
-// count, and the (possibly grown) scratch buffer so repeated calls can
-// amortize both allocations.
-//
-// Contract: on return, scratch[:distinct] holds the ascending distinct
-// values of v (rank r corresponds to scratch[r]).
-func CompressRanksInto(v []float64, ranks []int, scratch []float64) ([]int, int, []float64) {
-	scratch = append(scratch[:0], v...)
-	sort.Float64s(scratch)
-	uniq := scratch[:0]
-	for i, x := range scratch {
-		//scoded:lint-ignore floatcmp deduplicating sorted values requires exact equality
-		if i == 0 || x != uniq[len(uniq)-1] {
-			uniq = append(uniq, x)
-		}
-	}
-	if cap(ranks) < len(v) {
-		ranks = make([]int, len(v))
-	} else {
-		ranks = ranks[:len(v)]
-	}
-	for i, x := range v {
-		ranks[i] = sort.SearchFloat64s(uniq, x)
-	}
-	return ranks, len(uniq), scratch
-}

@@ -130,46 +130,6 @@ func TestZeroSizeTreesClampToOne(t *testing.T) {
 	}
 }
 
-func TestCompressRanks(t *testing.T) {
-	v := []float64{3.5, -1, 3.5, 10, -1}
-	ranks, k, _ := CompressRanksInto(v, nil, nil)
-	if k != 3 {
-		t.Fatalf("distinct = %d, want 3", k)
-	}
-	want := []int{1, 0, 1, 2, 0}
-	for i := range want {
-		if ranks[i] != want[i] {
-			t.Errorf("rank[%d] = %d, want %d", i, ranks[i], want[i])
-		}
-	}
-}
-
-func TestCompressRanksOrderPreserving(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(80) + 1
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(rng.Intn(10))
-		}
-		ranks, k, _ := CompressRanksInto(v, nil, nil)
-		if k < 1 || k > n {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if (v[i] < v[j]) != (ranks[i] < ranks[j]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
 // pop removes and returns the heap's maximum through Peek and Remove, as
 // the drill-down greedy loops do.
 func pop(h *MaxHeap) (int, float64, bool) {

@@ -228,6 +228,7 @@ func TestRecordsClientDisconnectMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
+	m := s.monitors[1]
 	done := make(chan error, 1)
 	go func() {
 		resp, err := http.DefaultClient.Do(req)
@@ -236,8 +237,23 @@ func TestRecordsClientDisconnectMidBatch(t *testing.T) {
 		}
 		done <- err
 	}()
-	// Let the batch get going, then vanish.
-	time.Sleep(300 * time.Millisecond)
+	// Let the batch get going, then vanish. Decoding the body takes a
+	// load-dependent while, so wait for the insert loop itself: applyBatch
+	// holds m.mu for the whole InsertBatch, and nothing else takes it here.
+	waitUntil := time.Now().Add(15 * time.Second)
+	for m.mu.TryLock() {
+		m.mu.Unlock()
+		select {
+		case err := <-done:
+			t.Fatalf("records batch ended (err %v) before the insert loop was seen", err)
+		default:
+		}
+		if time.Now().After(waitUntil) {
+			t.Fatal("records batch never reached the insert loop")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
 	cancel()
 	select {
 	case err := <-done:
@@ -250,7 +266,6 @@ func TestRecordsClientDisconnectMidBatch(t *testing.T) {
 
 	// The monitor retains the inserted prefix (the insert loop stopped),
 	// not the whole batch.
-	m := s.monitors[1]
 	m.mu.Lock()
 	observed := m.observed
 	m.mu.Unlock()

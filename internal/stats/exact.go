@@ -41,7 +41,9 @@ func PermutationGTest(x, y []int32, kx, ky, iters int, rng *rand.Rand) (TestResu
 }
 
 // PermutationKendallTest estimates the exact two-sided p-value of Kendall's
-// tau by Monte Carlo permutation of the y column.
+// tau by Monte Carlo permutation of the y column. It ranks x and y once and
+// shuffles the y ranks, which permutes the pairing exactly as shuffling the
+// values would, and counts every permutation on the ranks.
 func PermutationKendallTest(x, y []float64, iters int, rng *rand.Rand) (TestResult, error) {
 	if len(x) != len(y) {
 		return TestResult{}, fmt.Errorf("stats: permutation tau length mismatch %d vs %d", len(x), len(y))
@@ -49,20 +51,18 @@ func PermutationKendallTest(x, y []float64, iters int, rng *rand.Rand) (TestResu
 	if iters < 1 {
 		return TestResult{}, fmt.Errorf("stats: permutation iters must be positive, got %d", iters)
 	}
-	k, err := Kendall(x, y)
+	xr, yr := DenseRanks(x), DenseRanks(y)
+	k, err := KendallRanks(xr, yr)
 	if err != nil {
 		return TestResult{}, err
 	}
 	obs := math.Abs(k.TauB)
-	perm := append([]float64(nil), y...)
+	perm := yr.Ranks // DenseRanks' fresh memory: shuffling it permutes yr
+	work := make([]int32, countWork(len(perm), xr.Distinct, yr.Distinct))
 	ge := 0
 	for it := 0; it < iters; it++ {
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		pk, err := Kendall(x, perm)
-		if err != nil {
-			return TestResult{}, err
-		}
-		if math.Abs(pk.TauB) >= obs-1e-12 {
+		if pk, _ := countRanks(xr, yr, work); math.Abs(pk.TauB) >= obs-1e-12 {
 			ge++
 		}
 	}

@@ -115,6 +115,55 @@ func TestPermutationKendallErrors(t *testing.T) {
 	}
 }
 
+// TestPermutationKendallRanksOnce: shuffling the y ranks draws the same
+// permutations as shuffling the y values, so the statistic and p keep
+// their bits against a loop that shuffles the floats and calls Kendall.
+func TestPermutationKendallRanksOnce(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(60)
+		x := make([]float64, n)
+		y := make([]float64, n)
+		for i := range x {
+			x[i] = float64(rng.Intn(5)) // heavy ties
+			y[i] = math.Round(0.5*x[i]+rng.NormFloat64()) / 2
+		}
+		got, err := PermutationKendallTest(x, y, 300, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := permuteValues(t, x, y, 300, rand.New(rand.NewSource(seed)))
+		if math.Float64bits(got.Statistic) != math.Float64bits(want.Statistic) ||
+			math.Float64bits(got.P) != math.Float64bits(want.P) || got.N != want.N {
+			t.Errorf("seed %d: %+v, shuffling values gives %+v", seed, got, want)
+		}
+	}
+}
+
+// permuteValues is PermutationKendallTest as a loop over the values: shuffle
+// a copy of y and call Kendall on every permutation.
+func permuteValues(t *testing.T, x, y []float64, iters int, rng *rand.Rand) TestResult {
+	t.Helper()
+	k, err := Kendall(x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := math.Abs(k.TauB)
+	perm := append([]float64(nil), y...)
+	ge := 0
+	for it := 0; it < iters; it++ {
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		pk, err := Kendall(x, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(pk.TauB) >= obs-1e-12 {
+			ge++
+		}
+	}
+	return TestResult{Statistic: obs, P: float64(ge+1) / float64(iters+1), N: len(x)}
+}
+
 func TestCombineGSumsStatAndDF(t *testing.T) {
 	strata := []TestResult{
 		{Statistic: 3, DF: 1, N: 100},

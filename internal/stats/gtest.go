@@ -179,7 +179,13 @@ func GTest(t Table) (TestResult, error) {
 		return TestResult{}, err
 	}
 	sc := gtestScratch.Get().(*gtestBuffers)
-	defer gtestScratch.Put(sc)
+	res := sc.gtest(t)
+	gtestScratch.Put(sc)
+	return res, nil
+}
+
+// gtest runs the G-test on a validated table in sc's marginal buffers.
+func (sc *gtestBuffers) gtest(t Table) TestResult {
 	rm := grow(sc.rm, len(t))
 	cm := grow(sc.cm, len(t[0]))
 	sc.rm, sc.cm = rm, cm
@@ -236,7 +242,7 @@ func GTest(t Table) (TestResult, error) {
 		// A degenerate table (a constant row or column) carries no evidence
 		// against independence.
 		res.P = 1
-		return res, nil
+		return res
 	}
 	res.P = ChiSquared{K: float64(df)}.Survival(g)
 	// minExpected inline over the shared marginals: the smallest expected
@@ -259,7 +265,7 @@ func GTest(t Table) (TestResult, error) {
 		minE = 0
 	}
 	res.Approximate = minE < 5
-	return res, nil
+	return res
 }
 
 // ChiSquareTest performs the classical Pearson chi-squared test of

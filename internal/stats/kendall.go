@@ -8,18 +8,6 @@ import (
 	"sync"
 )
 
-// kendallScratch pools Kendall's working memory: the sort order, the
-// permuted columns, the merge buffer and the tie groups. All of it is
-// consumed inside the call (the result holds only counts and floats), so
-// pooling is invisible to callers and a steady-state Kendall allocates
-// nothing.
-var kendallScratch = sync.Pool{New: func() any { return new(kendallBuffers) }}
-
-type kendallBuffers struct {
-	ints []int     // the sort order, then room for both columns' tie groups
-	mem  []float64 // the permuted columns and the merge buffer
-}
-
 // KendallResult reports Kendall rank-correlation statistics for a sample of
 // paired observations.
 type KendallResult struct {
@@ -43,90 +31,215 @@ type KendallResult struct {
 	Approximate bool
 }
 
-// Kendall computes Kendall's rank correlation between x and y in
-// O(n log n) time with Knight's algorithm, the method the paper cites
-// (§4.3, ref. [36]). It is the one τ kernel: the resident kernel cache
-// memoizes its result, and the streamed path calls it on a stratum's
-// gathered vectors, so the two agree bit for bit by construction.
-//
-// One sort orders the rows by (x, y, index). The pairs tied on x, the
-// pairs tied on both columns and the x tie groups are read off that joint
-// order. One bottom-up merge sort of y in that order counts the discordant
-// pairs and leaves y sorted, so the y tie groups are read off its output.
+// Kendall computes Kendall's rank correlation between x and y with
+// Knight's algorithm, the method the paper cites (§4.3, ref. [36]): it
+// ranks both columns, as DenseRanks does, and counts on the ranks, as
+// KendallRanks does. It is the one τ kernel: the resident kernel cache and
+// the streamed fold count on kept rank views, so every path agrees bit for
+// bit by construction.
 func Kendall(x, y []float64) (KendallResult, error) {
 	n := len(x)
-	if n != len(y) {
-		return KendallResult{}, fmt.Errorf("stats: Kendall length mismatch %d vs %d", n, len(y))
+	if err := kendallErr(n, len(y), -1, -1); err != nil {
+		return KendallResult{}, err
 	}
-	if n < 2 {
-		return KendallResult{}, fmt.Errorf("stats: Kendall needs at least 2 observations, got %d", n)
-	}
-	for i := 0; i < n; i++ {
-		if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
-			return KendallResult{}, fmt.Errorf("stats: Kendall input contains NaN at %d", i)
-		}
-	}
-	sc := kendallScratch.Get().(*kendallBuffers)
-	res := sc.kendall(x, y)
-	kendallScratch.Put(sc)
-	return res, nil
+	sc := kendallPool.Get().(*kendallScratch)
+	defer kendallPool.Put(sc)
+	// The ranks, then room for the larger of a ranking's row ids (2n) and
+	// the count's scratch (at most 6n+1).
+	ints := sc.grow(8*n + 1)
+	xv, yv := RankView{Ranks: ints[:n]}, RankView{Ranks: ints[n : 2*n]}
+	xv.Distinct, xv.NaN = sc.rank(x, xv.Ranks, ints[2*n:])
+	yv.Distinct, yv.NaN = sc.rank(y, yv.Ranks, ints[2*n:])
+	return countRanks(xv, yv, ints[2*n:])
 }
 
-// kendall runs Knight's algorithm on a validated sample in sc's memory.
-func (sc *kendallBuffers) kendall(x, y []float64) KendallResult {
-	n := len(x)
-	if cap(sc.ints) < 2*n {
-		sc.ints = make([]int, 2*n)
-	}
-	if cap(sc.mem) < 3*n {
-		sc.mem = make([]float64, 3*n)
-	}
-	order := sc.ints[:n]
-	// A column of n values has at most n/2 tie groups, so neither
-	// column's groups outgrow their share of the rest.
-	xt, yt := sc.ints[n:n:n+n/2], sc.ints[n+n/2:n+n/2:2*n]
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		switch {
-		case x[a] < x[b]:
-			return -1
-		case x[b] < x[a]:
-			return 1
-		case y[a] < y[b]:
-			return -1
-		case y[b] < y[a]:
-			return 1
-		}
-		return a - b
-	})
-	xs, ys, buf := sc.mem[:n], sc.mem[n:2*n], sc.mem[2*n:3*n]
-	for i, id := range order {
-		xs[i], ys[i] = x[id], y[id]
-	}
+// KendallRanks is Kendall counted on two columns' rank views: the same
+// result bits, and the same errors, as Kendall on the values they rank.
+func KendallRanks(x, y RankView) (KendallResult, error) {
+	sc := kendallPool.Get().(*kendallScratch)
+	defer kendallPool.Put(sc)
+	return countRanks(x, y, sc.grow(countWork(len(x.Ranks), x.Distinct, y.Distinct)))
+}
 
-	// Pairs tied on both columns are adjacent in the joint order: a run of
-	// r equal points holds r(r-1)/2 of them.
-	var n3, run int64
-	for i := 1; i < n; i++ {
-		//scoded:lint-ignore floatcmp Kendall ties are defined by exact value equality
-		if xs[i] == xs[i-1] && ys[i] == ys[i-1] {
-			run++
-			n3 += run
-		} else {
-			run = 0
+// RankView is a numeric column's order, all that τ reads of its values.
+type RankView struct {
+	// Ranks holds each value's dense 0-based rank. Equal values share a
+	// rank, ±0 included; ±Inf are ordinary values. It is unset past a NaN.
+	Ranks    []int32
+	Distinct int // distinct values, one past the top rank
+	NaN      int // index of the first NaN, or -1
+}
+
+// DenseRanks returns v's rank view in fresh memory.
+func DenseRanks(v []float64) RankView {
+	r := RankView{Ranks: make([]int32, len(v))}
+	sc := kendallPool.Get().(*kendallScratch)
+	r.Distinct, r.NaN = sc.rank(v, r.Ranks, sc.grow(2*len(v)))
+	kendallPool.Put(sc)
+	return r
+}
+
+// kendallErr checks a sample's shape, then its columns' first NaN indices
+// (-1 for none), in Kendall's error order.
+func kendallErr(nx, ny, nanX, nanY int) error {
+	if nx != ny {
+		return fmt.Errorf("stats: Kendall length mismatch %d vs %d", nx, ny)
+	}
+	if nx < 2 {
+		return fmt.Errorf("stats: Kendall needs at least 2 observations, got %d", nx)
+	}
+	// As a uint, -1 is the largest value, so min finds the first NaN row.
+	if i := int(min(uint(nanX), uint(nanY))); i >= 0 {
+		return fmt.Errorf("stats: Kendall input contains NaN at %d", i)
+	}
+	return nil
+}
+
+// kendallPool lends the τ kernel's working memory. None of it outlives a
+// call, so pooling is invisible to callers and a steady-state Kendall
+// allocates nothing.
+var kendallPool = sync.Pool{New: func() any { return new(kendallScratch) }}
+
+// kendallScratch is the τ kernel's working memory: two arenas that every
+// buffer of a call is carved from, the radix sort's keys and the int32
+// rest (ranks, row ids, the count's order, histograms and Fenwick tree).
+type kendallScratch struct {
+	keys []uint64
+	ints []int32
+}
+
+// grow returns the int32 arena resized to n; its contents are unspecified.
+func (sc *kendallScratch) grow(n int) []int32 {
+	if cap(sc.ints) < n {
+		sc.ints = make([]int32, n)
+	}
+	return sc.ints[:n]
+}
+
+// rank writes v's dense ranks into out and returns the distinct count, or
+// the index of v's first NaN, leaving out unset. It is an LSD radix sort,
+// a byte per pass, of order-preserving keys carried with their row ids
+// (ids holds 2·len(v)); a byte every key shares is skipped.
+func (sc *kendallScratch) rank(v []float64, out, ids []int32) (distinct, nan int) {
+	n := len(v)
+	if n == 0 {
+		return 0, -1
+	}
+	if cap(sc.keys) < 2*n {
+		sc.keys = make([]uint64, 2*n)
+	}
+	src, dst := sc.keys[:n], sc.keys[n:2*n]
+	srcID, dstID := ids[:n], ids[n:2*n]
+	var hist [8][256]int32
+	for i, f := range v {
+		b := math.Float64bits(f)
+		// Flip negatives whole and set the sign bit of the rest, so that
+		// unsigned order is float order; −0 folds onto +0.
+		switch {
+		case b&^(1<<63) > 0x7ff0000000000000: // above +Inf's bits: NaN
+			return 0, i
+		case b<<1 == 0:
+			b = 1 << 63
+		case b>>63 != 0:
+			b = ^b
+		default:
+			b |= 1 << 63
+		}
+		src[i], srcID[i] = b, int32(i)
+		for d := range hist {
+			hist[d][byte(b>>(8*d))]++
 		}
 	}
-	xt, n1 := tieRuns(xs, xt)
-	// Discordant pairs are the strict descents of y in the joint order.
-	// Within an x-tie block y ascends, so pairs tied on x never count.
-	nd := countInversions(ys, buf)
-	yt, n2 := tieRuns(ys, yt)
+	for d := range hist {
+		h := &hist[d]
+		if h[byte(src[0]>>(8*d))] == int32(n) {
+			continue
+		}
+		var sum int32
+		for j, c := range h {
+			h[j], sum = sum, sum+c
+		}
+		for i, k := range src {
+			at := &h[byte(k>>(8*d))]
+			dst[*at], dstID[*at] = k, srcID[i]
+			*at++
+		}
+		src, dst, srcID, dstID = dst, src, dstID, srcID
+	}
+	r := int32(0)
+	for i, k := range src {
+		if i > 0 && k != src[i-1] {
+			r++
+		}
+		out[srcID[i]] = r
+	}
+	return int(r) + 1, -1
+}
+
+// countWork is the int32 scratch countRanks needs for n rows with kx and ky
+// distinct values.
+func countWork(n, kx, ky int) int { return n + 2*kx + 3*ky + 1 }
+
+// countRanks is Kendall on two rank views, carving its scratch from work
+// (countWork ints).
+//
+// A stable counting sort orders the rows by x rank. One Fenwick pass over
+// the y ranks then walks the x-tie blocks in ascending x: each row of a
+// block counts the earlier rows, all of smaller x, that have a larger y (a
+// discordant pair), and only then is the block inserted, so pairs tied on
+// x never count. A per-y-rank counter, cleared after each block, counts
+// the pairs tied on both. The rank histograms are the tie groups, in
+// ascending value order.
+func countRanks(x, y RankView, work []int32) (KendallResult, error) {
+	n, kx, ky := len(x.Ranks), x.Distinct, y.Distinct
+	if err := kendallErr(n, len(y.Ranks), x.NaN, y.NaN); err != nil {
+		return KendallResult{}, err
+	}
+	order, ends, work := work[:n], work[n:n+kx], work[n+kx:countWork(n, kx, ky)]
+	clear(work)
+	cx, cy, seen, tree := work[:kx], work[kx:kx+ky], work[kx+ky:kx+2*ky], work[kx+2*ky:]
+	for i, r := range x.Ranks {
+		cx[r]++
+		cy[y.Ranks[i]]++
+	}
+	var n1, n2 int64
+	var start int32
+	for r, c := range cx {
+		ends[r], start = start, start+c
+		n1 += int64(c) * int64(c-1) / 2
+	}
+	for _, c := range cy {
+		n2 += int64(c) * int64(c-1) / 2
+	}
+	for i, r := range x.Ranks {
+		order[ends[r]] = int32(i)
+		ends[r]++
+	}
+	var nd, n3 int64
+	start = 0
+	for _, end := range ends {
+		for _, i := range order[start:end] {
+			yr := y.Ranks[i]
+			below := int64(0) // inserted rows ranked at most yr
+			for j := yr + 1; j > 0; j &= j - 1 {
+				below += int64(tree[j])
+			}
+			nd += int64(start) - below
+			n3 += int64(seen[yr])
+			seen[yr]++
+		}
+		for _, i := range order[start:end] {
+			yr := y.Ranks[i]
+			seen[yr] = 0
+			for j := int(yr) + 1; j <= ky; j += j & -j {
+				tree[j]++
+			}
+		}
+		start = end
+	}
 
 	n0 := int64(n) * int64(n-1) / 2
 	nc := n0 - n1 - n2 + n3 - nd
-
 	res := KendallResult{
 		Concordant: nc,
 		Discordant: nd,
@@ -143,13 +256,12 @@ func (sc *kendallBuffers) kendall(x, y []float64) KendallResult {
 		res.TauB = 0
 		res.Z = 0
 		res.P = 1
-		return res
+		return res, nil
 	}
 	res.TauB = clampUnit(num / denom)
-
-	res.Z, res.P = kendallZPFromTies(n, xt, yt, num)
+	res.Z, res.P = kendallZPFromTies(n, cx, cy, num)
 	res.Approximate = n <= 60
-	return res
+	return res, nil
 }
 
 // kendallZP computes the tie-corrected variance of (nc - nd) under the null
@@ -166,19 +278,26 @@ func kendallZP(n int, x, y []float64, num float64) (z, p float64) {
 }
 
 // kendallZPFromTies is kendallZP with the tie group sizes given. The groups
-// must be in ascending value order, as tieGroupSizes returns them, so the
-// float accumulation order, and hence the result bits, match exactly.
-func kendallZPFromTies(n int, xt, yt []int, num float64) (z, p float64) {
+// must be in ascending value order, as tieGroupSizes and a rank histogram
+// list them, so the float accumulation order, and hence the result bits,
+// match exactly. Groups of one tie nothing and are skipped.
+func kendallZPFromTies(n int, xt, yt []int32, num float64) (z, p float64) {
 	fn := float64(n)
 	v0 := fn * (fn - 1) * (2*fn + 5)
 	var vt, vu, sx1, sx2, sy1, sy2 float64
 	for _, t := range xt {
+		if t < 2 {
+			continue
+		}
 		ft := float64(t)
 		vt += ft * (ft - 1) * (2*ft + 5)
 		sx1 += ft * (ft - 1)
 		sx2 += ft * (ft - 1) * (ft - 2)
 	}
 	for _, u := range yt {
+		if u < 2 {
+			continue
+		}
 		fu := float64(u)
 		vu += fu * (fu - 1) * (2*fu + 5)
 		sy1 += fu * (fu - 1)
@@ -209,21 +328,14 @@ func clampUnit(v float64) float64 {
 	return v
 }
 
-// tieGroupSizes returns the sizes of groups of equal values in v, in
-// ascending value order.
-func tieGroupSizes(v []float64) []int {
+// tieGroupSizes returns the sizes of the groups of two or more equal
+// values in v, in ascending value order. It is KendallNaive's, computed
+// from the values independently of the rank kernel.
+func tieGroupSizes(v []float64) []int32 {
 	s := append([]float64(nil), v...)
 	slices.Sort(s)
-	groups, _ := tieRuns(s, nil)
-	return groups
-}
-
-// tieRuns appends to groups the size of every run of equal values longer
-// than one in sorted s, and returns it with the number of tied pairs the
-// runs hold: a run of r contributes r(r-1)/2.
-func tieRuns(s []float64, groups []int) ([]int, int64) {
-	var pairs int64
-	run := 1
+	var groups []int32
+	run := int32(1)
 	for i := 1; i <= len(s); i++ {
 		//scoded:lint-ignore floatcmp tie runs group exactly-equal sorted values
 		if i < len(s) && s[i] == s[i-1] {
@@ -232,54 +344,10 @@ func tieRuns(s []float64, groups []int) ([]int, int64) {
 		}
 		if run > 1 {
 			groups = append(groups, run)
-			pairs += int64(run) * int64(run-1) / 2
 		}
 		run = 1
 	}
-	return groups, pairs
-}
-
-// countInversions counts pairs (i, j), i < j, with v[i] > v[j], via
-// bottom-up merge sort. It mutates v; buf must be the same length.
-func countInversions(v, buf []float64) int64 {
-	n := len(v)
-	var inv int64
-	for width := 1; width < n; width *= 2 {
-		for lo := 0; lo < n-width; lo += 2 * width {
-			mid := lo + width
-			hi := mid + width
-			if hi > n {
-				hi = n
-			}
-			inv += mergeCount(v, buf, lo, mid, hi)
-		}
-	}
-	return inv
-}
-
-func mergeCount(v, buf []float64, lo, mid, hi int) int64 {
-	copy(buf[lo:hi], v[lo:hi])
-	i, j := lo, mid
-	var inv int64
-	for k := lo; k < hi; k++ {
-		switch {
-		case i >= mid:
-			v[k] = buf[j]
-			j++
-		case j >= hi:
-			v[k] = buf[i]
-			i++
-		case buf[j] < buf[i]:
-			// Strict inequality: equal values are ties, not inversions.
-			inv += int64(mid - i)
-			v[k] = buf[j]
-			j++
-		default:
-			v[k] = buf[i]
-			i++
-		}
-	}
-	return inv
+	return groups
 }
 
 // KendallNaive computes tau-a, tau-b and the pair counts by the O(n²)

@@ -1,8 +1,11 @@
 package stats
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -338,28 +341,6 @@ func TestKendallTestAdapter(t *testing.T) {
 	}
 }
 
-func TestCountInversions(t *testing.T) {
-	cases := []struct {
-		v    []float64
-		want int64
-	}{
-		{[]float64{1, 2, 3}, 0},
-		{[]float64{3, 2, 1}, 3},
-		{[]float64{2, 1, 3}, 1},
-		{[]float64{1, 1, 1}, 0}, // ties are not inversions
-		{[]float64{2, 1, 1}, 2},
-		{[]float64{}, 0},
-		{[]float64{5}, 0},
-	}
-	for _, c := range cases {
-		v := append([]float64(nil), c.v...)
-		buf := make([]float64, len(v))
-		if got := countInversions(v, buf); got != c.want {
-			t.Errorf("inversions(%v) = %d, want %d", c.v, got, c.want)
-		}
-	}
-}
-
 func TestTieGroupSizes(t *testing.T) {
 	got := tieGroupSizes([]float64{3, 1, 3, 3, 2, 1})
 	// sorted: 1 1 2 3 3 3 -> groups of size 2 and 3
@@ -370,3 +351,184 @@ func TestTieGroupSizes(t *testing.T) {
 		t.Errorf("no-tie input gave %v", g)
 	}
 }
+
+// FuzzKendall checks the rank kernel against the O(n^2) definition on
+// arbitrary samples. Each pair of bytes is one row, read through a palette
+// of heavy ties, ±0, ±Inf, a subnormal and NaN; with raw set, each 16 bytes
+// are the bits of one row's x and y instead.
+func FuzzKendall(f *testing.F) {
+	f.Add([]byte{7, 8}, false)                                   // n = 1
+	f.Add([]byte{7, 8, 8, 7}, false)                             // n = 2
+	f.Add([]byte{4, 5, 5, 4, 4, 4, 5, 5, 9, 4}, false)           // ±0 on both columns
+	f.Add([]byte{0, 12, 12, 0, 0, 0, 12, 12, 7, 0, 0, 7}, false) // ties at ±Inf
+	f.Add([]byte{3, 1, 3, 2, 3, 9, 3, 30, 3, 200}, false)        // constant x
+	f.Add([]byte{1, 2, 3, 13, 5, 6, 13, 8}, false)               // NaN in y, then in x
+	f.Add([]byte{40, 41, 90, 17, 200, 255, 128, 129, 17, 90, 41, 40}, false)
+	var raw []byte
+	for _, v := range []float64{1.5, 2, math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 5e-324, 1, 0, 2} {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	}
+	f.Add(raw, true)
+	f.Fuzz(func(t *testing.T, data []byte, raw bool) {
+		x, y := fuzzSample(data, raw)
+		got, err := Kendall(x, y)
+		nan := -1
+		for i := range x {
+			if math.IsNaN(x[i]) || math.IsNaN(y[i]) {
+				nan = i
+				break
+			}
+		}
+		switch {
+		case len(x) < 2:
+			if err == nil {
+				t.Fatalf("n = %d: no error", len(x))
+			}
+			return
+		case nan >= 0:
+			if want := fmt.Sprintf("stats: Kendall input contains NaN at %d", nan); err == nil || err.Error() != want {
+				t.Fatalf("err %v, want %q", err, want)
+			}
+			return
+		case err != nil:
+			t.Fatal(err)
+		}
+		if !matchesNaive(t, "fuzz", x, y) {
+			t.FailNow()
+		}
+		n0 := int64(got.N) * int64(got.N-1) / 2
+		defined := got.TiesX < n0 && got.TiesY < n0
+		if got.Approximate != (defined && got.N <= 60) {
+			t.Fatalf("Approximate %v for n = %d (tau-b defined: %v)", got.Approximate, got.N, defined)
+		}
+	})
+}
+
+// fuzzSample decodes FuzzKendall's rows, at most 300 of them.
+func fuzzSample(data []byte, raw bool) (x, y []float64) {
+	palette := [16]float64{math.Inf(-1), -3, -1, -0.5, math.Copysign(0, -1), 0, 0.5, 1,
+		2, 3, 7, 1e300, math.Inf(1), math.NaN(), 5e-324, -1e-300}
+	value := func(b byte) float64 {
+		if int(b) < len(palette) {
+			return palette[b]
+		}
+		return float64(int(b)-128) / 4
+	}
+	stride := 2
+	if raw {
+		stride = 16
+	}
+	n := min(len(data)/stride, 300)
+	x, y = make([]float64, n), make([]float64, n)
+	for i := range x {
+		row := data[i*stride : (i+1)*stride]
+		if raw {
+			x[i] = math.Float64frombits(binary.LittleEndian.Uint64(row))
+			y[i] = math.Float64frombits(binary.LittleEndian.Uint64(row[8:]))
+		} else {
+			x[i], y[i] = value(row[0]), value(row[1])
+		}
+	}
+	return x, y
+}
+
+func TestDenseRanks(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	v := []float64{3.5, -1, 3.5, math.Inf(1), -1, 0, negZero, math.Inf(-1)}
+	r := DenseRanks(v)
+	want := []int32{3, 1, 3, 4, 1, 2, 2, 0}
+	if r.Distinct != 5 || r.NaN != -1 || !slices.Equal(r.Ranks, want) {
+		t.Fatalf("DenseRanks(%v) = %+v, want ranks %v, 5 distinct, no NaN", v, r, want)
+	}
+	if r := DenseRanks([]float64{1, 2, math.NaN(), 0, math.NaN()}); r.NaN != 2 {
+		t.Errorf("first NaN at %d, want 2", r.NaN)
+	}
+	if r := DenseRanks(nil); r.Distinct != 0 || r.NaN != -1 {
+		t.Errorf("empty column: %+v", r)
+	}
+}
+
+// TestDenseRanksOrderPreserving: ranks order and tie exactly as the values
+// compare, on tie-heavy, signed-zero, infinite and full-range samples.
+func TestDenseRanksOrderPreserving(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(80) + 1
+		v := make([]float64, n)
+		for i := range v {
+			switch rng.Intn(4) {
+			case 0:
+				v[i] = float64(rng.Intn(10) - 5)
+			case 1:
+				v[i] = []float64{math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}[rng.Intn(4)]
+			case 2:
+				v[i] = math.Float64frombits(rng.Uint64() &^ (0x7ff << 52)) // any sign, subnormals
+			default:
+				v[i] = rng.NormFloat64() * 1e10
+			}
+		}
+		r := DenseRanks(v)
+		top := int32(-1)
+		for i := 0; i < n; i++ {
+			top = max(top, r.Ranks[i])
+			for j := 0; j < n; j++ {
+				if (v[i] < v[j]) != (r.Ranks[i] < r.Ranks[j]) || (v[i] > v[j]) != (r.Ranks[i] > r.Ranks[j]) {
+					return false
+				}
+			}
+		}
+		return r.NaN == -1 && int(top)+1 == r.Distinct
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Error(err)
+	}
+}
+
+// BenchmarkKendall measures one stratum of the end-to-end family's shape:
+// 1,667 normals rounded to four decimals, a tenth of the rows drawn
+// rank-aligned. "values" is the float entry point, "rank" ranks one
+// column, and "count" counts on given rank views.
+func BenchmarkKendall(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	round4 := func(v float64) float64 { return math.Round(v*1e4) / 1e4 }
+	x := make([]float64, 1667)
+	y := make([]float64, len(x))
+	for i := range x {
+		if rng.Float64() < 0.1 {
+			s := rng.NormFloat64()
+			x[i], y[i] = round4(s), round4(1.5*s+0.2)
+			continue
+		}
+		x[i], y[i] = round4(rng.NormFloat64()), round4(rng.NormFloat64())
+	}
+	var err error
+	b.Run("values", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if kendallSink, err = Kendall(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("rank", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rankSink = DenseRanks(x)
+		}
+	})
+	xr, yr := DenseRanks(x), DenseRanks(y)
+	b.Run("count", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if kendallSink, err = KendallRanks(xr, yr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// Sinks keep BenchmarkKendall's results live.
+var (
+	kendallSink KendallResult
+	rankSink    RankView
+)

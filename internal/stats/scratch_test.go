@@ -39,10 +39,22 @@ func TestGTestPooledScratchDeterministic(t *testing.T) {
 	}
 }
 
+// The steady-state tests measure each kernel on scratch the test holds,
+// so the count is deterministic: under -race, sync.Pool drops a random
+// share of its Puts, and each drop charges the next call fresh scratch.
+// The exported, pooled entry points are held to zero only without -race.
+
 func TestGTestSteadyStateAllocFree(t *testing.T) {
 	x := []int32{0, 1, 2, 0, 1, 2, 0, 1, 2, 1}
 	y := []int32{0, 0, 1, 1, 2, 2, 0, 1, 2, 0}
 	tab := TableFromCodes(x, y, 3, 3)
+	var sc gtestBuffers
+	if allocs := testing.AllocsPerRun(100, func() { sc.gtest(tab) }); allocs > 0 {
+		t.Errorf("gtest allocates %.1f per call on held scratch, want 0", allocs)
+	}
+	if raceEnabled {
+		return
+	}
 	GTest(tab) // warm the pool
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := GTest(tab); err != nil {
@@ -63,19 +75,38 @@ func TestKendallSteadyStateAllocFree(t *testing.T) {
 		x[i] = float64(rng.Intn(40)) // ties, so the tie groups are exercised
 		y[i] = rng.NormFloat64()
 	}
-	if _, err := Kendall(x, y); err != nil { // warm the pool
-		t.Fatal(err)
-	}
-	// The race detector's sync.Pool drops a quarter of its Puts, and each
-	// drop costs the next call its three scratch allocations; over 1,000
-	// runs that averages 0.75, which AllocsPerRun truncates to 0.
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, err := Kendall(x, y); err != nil {
-			t.Fatal(err)
+	xr, yr := DenseRanks(x), DenseRanks(y)
+	var sc kendallScratch
+	out, ids := make([]int32, n), make([]int32, 2*n)
+	work := make([]int32, countWork(n, xr.Distinct, yr.Distinct))
+	for name, run := range map[string]func(){
+		"rank": func() { sc.rank(x, out, ids) },
+		"countRanks": func() {
+			if _, err := countRanks(xr, yr, work); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, run); allocs > 0 {
+			t.Errorf("%s allocates %.1f per call on held scratch, want 0", name, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Kendall allocates %.1f per call, want 0", allocs)
+	}
+	if raceEnabled {
+		return
+	}
+	for name, run := range map[string]func() (KendallResult, error){
+		"Kendall":      func() (KendallResult, error) { return Kendall(x, y) },
+		"KendallRanks": func() (KendallResult, error) { return KendallRanks(xr, yr) },
+	} {
+		run() // warm the pool
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s allocates %.1f per call, want 0", name, allocs)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
 	"testing"
 
@@ -56,6 +57,31 @@ func FuzzSegment(f *testing.F) {
 	})
 }
 
+// sameSegment is reflect.DeepEqual with floats compared by their bits, so
+// two reads of a NaN agree (DeepEqual calls any two NaNs unequal) and −0
+// and NaN payloads must survive both reads.
+func sameSegment(a, b *Segment) bool {
+	if a.Rows != b.Rows || len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for i := range a.Cols {
+		ac, bc := a.Cols[i], b.Cols[i]
+		if len(ac.Floats) != len(bc.Floats) || (ac.Floats == nil) != (bc.Floats == nil) {
+			return false
+		}
+		for j := range ac.Floats {
+			if math.Float64bits(ac.Floats[j]) != math.Float64bits(bc.Floats[j]) {
+				return false
+			}
+		}
+		ac.Floats, bc.Floats = nil, nil
+		if !reflect.DeepEqual(ac, bc) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkSegmentBytes reads data whole and streamed, and checks that the two
 // reads agree and that a decoded segment is well formed.
 func checkSegmentBytes(t *testing.T, data []byte) {
@@ -68,7 +94,7 @@ func checkSegmentBytes(t *testing.T, data []byte) {
 	if err != nil {
 		return
 	}
-	if !reflect.DeepEqual(seg, streamed) {
+	if !sameSegment(seg, streamed) {
 		t.Fatalf("whole read %+v, streamed read %+v", seg, streamed)
 	}
 	for _, col := range seg.Cols {

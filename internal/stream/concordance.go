@@ -206,7 +206,7 @@ func (c *concordanceIndex) mergeFresh(order []int32, kept int, v []float64) []in
 func denseRanks(order []int32, v []float64, ranks []int32, uniq []float64, cnt []int64) ([]float64, []int64) {
 	uniq, cnt = uniq[:0], cnt[:0]
 	for i, p := range order {
-		//scoded:lint-ignore floatcmp equal values share a dense rank, as segtree.CompressRanksInto dedups them
+		//scoded:lint-ignore floatcmp equal values share a dense rank, as stats.DenseRanks ranks them
 		if len(uniq) == 0 || v[p] != uniq[len(uniq)-1] {
 			uniq = append(uniq, v[p])
 			cnt = append(cnt, 0)

@@ -5,13 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"scoded/internal/segtree"
+	"scoded/internal/stats"
 )
 
 // TestConcordanceIndexMatchesCompressRanks drives the index through
 // inserts and FIFO evictions. After every rebuild it compares the merged
-// snapshot with segtree.CompressRanksInto over the window in arrival
-// order: per-point ranks, distinct values, cumulative counts and the kept
+// snapshot with stats.DenseRanks over the window in arrival order:
+// per-point ranks, distinct values, cumulative counts and the kept
 // orders. After every mutation it checks signedSum against a direct scan
 // of the window, and that the evicted prefix the arrays carry stays within
 // the rebuild threshold.
@@ -89,8 +89,9 @@ func TestConcordanceIndexMatchesCompressRanks(t *testing.T) {
 	}
 }
 
-// checkSnapshot compares a freshly rebuilt snapshot with
-// segtree.CompressRanksInto over the window in arrival order.
+// checkSnapshot compares a freshly rebuilt snapshot with stats.DenseRanks
+// over the window in arrival order. The distinct value of rank r is the
+// value of any point ranked r.
 func checkSnapshot(t *testing.T, step int, c *concordanceIndex, winX, winY []float64) {
 	t.Helper()
 	if c.head != 0 || c.snapN != len(winX) || len(c.xs) != len(winX) {
@@ -107,7 +108,12 @@ func checkSnapshot(t *testing.T, step int, c *concordanceIndex, winX, winY []flo
 		{"x", winX, c.xr, c.byX, c.snapX, c.xcnt},
 		{"y", winY, c.yr, c.byY, c.snapY, c.ycnt},
 	} {
-		want, distinct, sorted := segtree.CompressRanksInto(ax.v, nil, nil)
+		view := stats.DenseRanks(ax.v)
+		want, distinct := view.Ranks, view.Distinct
+		sorted := make([]float64, distinct)
+		for p, r := range want {
+			sorted[r] = ax.v[p]
+		}
 		if len(ax.uniq) != distinct || len(ax.cnt) != distinct {
 			t.Fatalf("step %d %s: %d distinct values and %d counts, want %d", step, ax.name, len(ax.uniq), len(ax.cnt), distinct)
 		}
@@ -119,7 +125,7 @@ func checkSnapshot(t *testing.T, step int, c *concordanceIndex, winX, winY []flo
 		}
 		perRank := make([]int64, distinct)
 		for p, r := range want {
-			if int(ax.ranks[p]) != r {
+			if ax.ranks[p] != r {
 				t.Fatalf("step %d %s: point %d (%v) has rank %d, want %d", step, ax.name, p, ax.v[p], ax.ranks[p], r)
 			}
 			perRank[r]++

@@ -41,14 +41,16 @@ echo "== bench module (vet, -race) =="
 # pins every method's streamed identity and the streamed family's shape:
 # one scan per checkall, one manifest snapshot, allocations that do not
 # grow with the row count, and columns buffered once per fold. Streamed
-# and resident Kendall agree because both call the one stats kernel on the
-# same vectors; its bit-level match with the O(n^2) naive reference runs
-# here too.
+# and resident Kendall agree because both count with the one stats kernel
+# on the same rank views; its bit-level match with the O(n^2) naive
+# reference runs here too, and ten seconds of fuzzing feed it heavy ties,
+# ±0, ±Inf, subnormals, NaN and raw bit patterns.
 echo "== cross-path detection identity and fuzz =="
 go test -run 'CheckAllStream|Fold|ScanManifest|ReusesWindowSlabs' \
 	./internal/detect/ ./internal/kernel/ ./internal/store/
-go test -run 'Kendall' ./internal/stats/
+go test -run 'Kendall|DenseRanks' ./internal/stats/
 go test -run='^$' -fuzz=FuzzCheckAllPaths -fuzztime=10s ./internal/detect
+go test -run='^$' -fuzz=FuzzKendall -fuzztime=10s ./internal/stats
 
 # Gating: the segment reader. Every segment read (windowed scans, Load,
 # LoadLog, Verify, Compact) goes through one decoder; ten seconds of
