@@ -69,7 +69,7 @@ func (l *loadFlags) Set(v string) error {
 func main() {
 	fs := flag.NewFlagSet("scoded-serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "checkall worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "checkall and drill-down worker pool size (0 = GOMAXPROCS)")
 	maxUpload := fs.Int64("max-upload", 32<<20, "maximum CSV upload size in bytes")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "graceful shutdown drain budget")
 	requestTimeout := fs.Duration("request-timeout", 0, "server-side deadline per request; expired requests answer 504 (0 = none)")

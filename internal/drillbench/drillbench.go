@@ -141,8 +141,10 @@ func mustDrill(res drilldown.Result, err error) drilldown.Result {
 type BenchResult struct {
 	// Name identifies the variant: {tau,g}_kc_{linear,delta} for the
 	// single-constraint K^c drills (linear = the seed-era full-rescan
-	// greedy, delta = the incremental per-stratum argmax), and
-	// multi_{sequential,parallel} for the MultiTopK constraint fan-out.
+	// greedy, sequential; delta = the incremental per-stratum argmax,
+	// which takes the strata's guaranteed shares on a GOMAXPROCS-worker
+	// pool), and multi_{sequential,parallel} for the MultiTopK constraint
+	// fan-out.
 	Name string `json:"name"`
 	// Iters is the iteration count testing.Benchmark settled on.
 	Iters       int   `json:"iters"`

@@ -126,8 +126,9 @@ func TestDeltaGreedyMatchesLinearLargeKc(t *testing.T) {
 // each record is one byte pair, drawn from heavy ties, ±0, ±Inf and NaN on
 // the numeric side and three levels on the categorical side, in 1–4 strata.
 // For both methods, K and K^c, both G objectives and both constraint
-// directions, TopK must equal TopKLinear, or fail with the same error; a
-// NaN in a tau drill must fail.
+// directions, TopK must equal TopKLinear, or fail with the same error, at
+// the default worker count and with 1 and 3 workers taking the strata's
+// shares; a NaN in a tau drill must fail.
 func FuzzTopKMatchesLinear(f *testing.F) {
 	f.Add(byte(0), byte(2), []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc, 0x45, 0x67})
 	f.Add(byte(3), byte(5), []byte{0x33, 0x44, 0x33, 0x44, 0x77, 0x70, 0x07, 0x55, 0x21, 0x3c, 0x4b, 0x5a})
@@ -174,6 +175,13 @@ func FuzzTopKMatchesLinear(f *testing.F) {
 					}
 					if fastErr == nil && !reflect.DeepEqual(fast, ref) {
 						t.Fatalf("%s: delta argmax diverged from linear greedy:\n%+v\nvs\n%+v", label, fast, ref)
+					}
+					for _, workers := range []int{1, 3} {
+						opts.Workers = workers
+						pooled, err := TopK(d, c, 1+int(k)%n, opts)
+						if fmt.Sprint(err) != fmt.Sprint(refErr) || err == nil && !reflect.DeepEqual(pooled, ref) {
+							t.Fatalf("%s workers %d: diverged from linear greedy:\n%+v (%v)\nvs\n%+v (%v)", label, workers, pooled, err, ref, refErr)
+						}
 					}
 				}
 			}
@@ -224,7 +232,7 @@ func TestGScanSkipMatchesFullScan(t *testing.T) {
 
 // TestDeltaMatchesBruteArgmax chains the identity to the brute-force
 // oracle: for k=1 the greedy argmax is provably optimal (a single removal),
-// so TopK, TopKLinear and BruteForceTopK must all select the same record.
+// so TopK, TopKLinear and bruteForceTopK must all select the same record.
 // The tau objective is exact integer arithmetic; the G comparison uses the
 // ExactDelta objective, which optimizes the same quantity brute force
 // enumerates.
@@ -283,7 +291,7 @@ func checkBruteArgmax(t *testing.T, seed int64, d *relation.Relation, c sc.SC, o
 	if err != nil {
 		t.Fatalf("seed %d %s: %v", seed, c, err)
 	}
-	brute, err := BruteForceTopK(d, c, 1, opts)
+	brute, err := bruteForceTopK(d, c, 1, opts)
 	if err != nil {
 		t.Fatalf("seed %d %s: %v", seed, c, err)
 	}

@@ -26,6 +26,7 @@ package drilldown
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"scoded/internal/engine"
@@ -100,9 +101,11 @@ type Options struct {
 	// already computed by detection. Results are bit-identical with and
 	// without it; nil computes everything directly.
 	Cache *kernel.Cache
-	// Workers bounds the worker pool MultiTopK uses to drill constraints
-	// concurrently, mirroring detect.BatchOptions.Workers. Zero or negative
-	// means runtime.GOMAXPROCS(0). Single-constraint TopK ignores it.
+	// Workers bounds the engine pools of a drill, mirroring
+	// detect.BatchOptions.Workers: MultiTopK's over constraints, and every
+	// TopK's over the strata's guaranteed greedy shares (DESIGN.md §10).
+	// Zero or negative means runtime.GOMAXPROCS(0). Results do not depend
+	// on it.
 	Workers int
 	// Hooks observes per-constraint drills in MultiTopK (the server wires
 	// these into /metrics). Optional; single-constraint TopK ignores it.
@@ -160,8 +163,9 @@ func TopK(d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
 // stratum and rank records globally. Set-valued X or Y are not supported
 // here; decompose first and drill into the leaf of interest.
 //
-// Cancellation is checked once per greedy round, so a deadline interrupts a
-// long drill mid-loop; the returned error then wraps the context's error
+// Cancellation is checked before every greedy round and every take the
+// stratum pool makes, so a deadline interrupts a long drill mid-loop; the
+// returned error then counts the takes made and wraps the context's error
 // (context.DeadlineExceeded or context.Canceled).
 func TopKContext(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
 	if err := c.Validate(); err != nil {
@@ -224,9 +228,19 @@ type direction struct {
 // greedyStratum is one conditioning stratum of the delta greedy, tau's or
 // G's. Each keeps its current best candidate: scan finds it, and take
 // removes it, returns its row, and finds the next one in the same pass.
+// size is the number of live records; ok is false once none is left.
 type greedyStratum interface {
 	scan(d direction) (score float64, ok bool)
 	take(d direction) (row int, score float64, ok bool)
+	size() int
+}
+
+// step is one recorded step of a stratum: the row a take removed (none for
+// the first scan) and the stratum's next best score.
+type step struct {
+	row   int
+	score float64
+	ok    bool
 }
 
 // greedyDelta is the delta-argmax form of tauGreedyLinear and gGreedyLinear
@@ -236,31 +250,125 @@ type greedyStratum interface {
 // that one entry. Untouched strata keep bit-identical keys, a stratum breaks
 // ties towards the candidate its linear scan meets first, and the heap
 // towards the lowest stratum index, so the rows are the linear scans'.
-func greedyDelta[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction) ([]int, error) {
+//
+// A stratum's steps depend only on its own earlier takes, so the takes
+// every interleaving must make are computed ahead on the engine pool (see
+// greedyPrefix), and the heap replays them before it takes live.
+func greedyDelta[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction, workers int) ([]int, error) {
+	steps, taken, err := greedyPrefix(ctx, strata, rounds, d, workers)
+	if err != nil {
+		return nil, err
+	}
+	// next returns stratum si's next step: recorded while its prefix
+	// lasts, then live.
+	next := func(si int) (step, bool) {
+		if si < len(steps) && len(steps[si]) > 0 {
+			s := steps[si][0]
+			steps[si] = steps[si][1:]
+			return s, false
+		}
+		return step{}, true
+	}
 	h := segtree.NewMaxHeap()
 	for si, st := range strata {
-		if score, ok := st.scan(d); ok {
-			h.Push(si, score)
+		s, live := next(si)
+		if live {
+			s.score, s.ok = st.scan(d)
+		}
+		if s.ok {
+			h.Push(si, s.score)
 		}
 	}
 	removed := make([]int, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
+			return nil, interrupted(taken, err)
 		}
 		si, _, ok := h.Peek()
 		if !ok {
 			break
 		}
-		row, score, ok := strata[si].take(d)
-		removed = append(removed, row)
-		if ok {
-			h.Update(si, score)
+		s, live := next(si)
+		if live {
+			s.row, s.score, s.ok = strata[si].take(d)
+			taken++
+		}
+		removed = append(removed, s.row)
+		if s.ok {
+			h.Update(si, s.score)
 		} else {
 			h.Remove(si)
 		}
 	}
 	return removed, nil
+}
+
+// greedyPrefix takes, on the engine pool, each stratum's guaranteed share
+// of a greedy run of the given rounds over strata holding T live records:
+// whatever the interleaving, stratum z gives at least g_z = rounds − (T −
+// n_z) of its n_z records, because the others hold only T − n_z. Each
+// stratum with g_z > 0 records its first scan and its first g_z takes in
+// steps[z], carved from one arena, and the total take count is returned
+// with them. The work is the sequential run's, only spread over workers.
+// Unless at least two strata have a share it starts no pool and returns
+// nil: a K drill (rounds = k) rarely has any, a marginal drill has one
+// stratum.
+//
+// Each take checks ctx, as a round does; an interrupted prefix returns
+// after the pool drains, counting the takes made.
+func greedyPrefix[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction, workers int) ([][]step, int, error) {
+	total := 0
+	for _, st := range strata {
+		total += st.size()
+	}
+	var ids []int // strata with a share, in stratum order
+	arena := 0
+	for si, st := range strata {
+		if g := rounds - total + st.size(); g > 0 {
+			ids = append(ids, si)
+			arena += g + 1
+		}
+	}
+	if len(ids) < 2 {
+		return nil, 0, nil
+	}
+	steps := make([][]step, len(strata))
+	buf := make([]step, arena)
+	for _, si := range ids {
+		n := rounds - total + strata[si].size() + 1
+		steps[si], buf = buf[:n:n], buf[n:]
+	}
+	done := make([]int, len(ids))
+	errs := engine.Run(ctx, len(ids), engine.Options{Workers: workers}, func(ctx context.Context, i int) error {
+		st, rec := strata[ids[i]], steps[ids[i]]
+		rec[0].score, rec[0].ok = st.scan(d)
+		for m := 1; m < len(rec); m++ {
+			if err := ctx.Err(); err != nil {
+				done[i] = m - 1
+				return err
+			}
+			rec[m].row, rec[m].score, rec[m].ok = st.take(d)
+		}
+		done[i] = len(rec) - 1
+		return nil
+	})
+	taken := 0
+	for _, n := range done {
+		taken += n
+	}
+	if err := errors.Join(errs...); err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, 0, interrupted(taken, ctxErr)
+		}
+		return nil, 0, fmt.Errorf("drilldown: %w", err)
+	}
+	return steps, taken, nil
+}
+
+// interrupted is the error of a greedy run that ctx stopped after the given
+// number of takes.
+func interrupted(takes int, err error) error {
+	return fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", takes, err)
 }
 
 // drillableRows returns the number of records in testable strata for the

@@ -352,7 +352,7 @@ func TestGreedyMatchesBruteForceSmall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute, err := BruteForceTopK(d, c, 3, Options{})
+		brute, err := bruteForceTopK(d, c, 3, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +366,7 @@ func TestGreedyMatchesBruteForceSmall(t *testing.T) {
 func TestBruteForceCategoricalOracle(t *testing.T) {
 	d := figure2()
 	c := sc.MustParse("Model _||_ Color")
-	brute, err := BruteForceTopK(d, c, 2, Options{})
+	brute, err := bruteForceTopK(d, c, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,10 +383,10 @@ func TestBruteForceCategoricalOracle(t *testing.T) {
 
 func TestBruteForceGuards(t *testing.T) {
 	d := figure2()
-	if _, err := BruteForceTopK(d, sc.MustParse("Model _||_ Color | Model2"), 2, Options{}); err == nil {
+	if _, err := bruteForceTopK(d, sc.MustParse("Model _||_ Color | Model2"), 2, Options{}); err == nil {
 		t.Error("want error for invalid constraint")
 	}
-	if _, err := BruteForceTopK(d, sc.MustParse("Model _||_ Color"), 0, Options{}); err == nil {
+	if _, err := bruteForceTopK(d, sc.MustParse("Model _||_ Color"), 0, Options{}); err == nil {
 		t.Error("want error for k=0")
 	}
 	big := make([]float64, 200)
@@ -397,7 +397,7 @@ func TestBruteForceGuards(t *testing.T) {
 		relation.NewNumericColumn("X", big),
 		relation.NewNumericColumn("Y", big),
 	)
-	if _, err := BruteForceTopK(bigRel, sc.MustParse("X _||_ Y"), 50, Options{}); err == nil {
+	if _, err := bruteForceTopK(bigRel, sc.MustParse("X _||_ Y"), 50, Options{}); err == nil {
 		t.Error("want error for combinatorial explosion")
 	}
 }

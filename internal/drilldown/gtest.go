@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 
-	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
@@ -96,7 +95,7 @@ func gTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Optio
 		if opts.linear {
 			return gGreedyLinear(ctx, strata, rounds, c.Dependence, best, opts.GObjective)
 		}
-		return greedyDelta(ctx, strata, rounds, direction{c.Dependence, best, opts.GObjective})
+		return greedyDelta(ctx, strata, rounds, direction{c.Dependence, best, opts.GObjective}, opts.Workers)
 	}
 	switch res.Strategy {
 	case K:
@@ -260,7 +259,7 @@ func gGreedyLinear(ctx context.Context, strata []*gStratum, rounds int, dependen
 	removed := make([]int, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
+			return nil, interrupted(round, err)
 		}
 		selStratum, selI, selJ := -1, -1, -1
 		var selScore float64
@@ -320,6 +319,8 @@ func (st *gStratum) scan(d direction) (float64, bool) {
 	}
 }
 
+func (st *gStratum) size() int { return int(st.n) }
+
 // take removes one record of the best cell and rescans: N and two marginals
 // changed, so every live cell's score did.
 func (st *gStratum) take(d direction) (int, float64, bool) {
@@ -339,21 +340,4 @@ func gSurvivors(strata []*gStratum, k int) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// codesForDrill returns dense per-stratum category codes for a column,
-// quantile-discretizing numeric columns.
-func codesForDrill(d *relation.Relation, name string, bins int, rows []int) []int32 {
-	codes, _ := kernel.CodesFor(d, name, bins, rows)
-	return codes
-}
-
-func maxCode(codes []int32) int {
-	m := int32(0)
-	for _, c := range codes {
-		if c > m {
-			m = c
-		}
-	}
-	return int(m)
 }

@@ -105,7 +105,7 @@ func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Opt
 		if opts.linear {
 			return tauGreedyLinear(ctx, strata, rounds, c.Dependence, best)
 		}
-		return greedyDelta(ctx, strata, rounds, direction{dependence: c.Dependence, best: best})
+		return greedyDelta(ctx, strata, rounds, direction{dependence: c.Dependence, best: best}, opts.Workers)
 	}
 	switch res.Strategy {
 	case K:
@@ -162,7 +162,7 @@ func tauGreedyLinear(ctx context.Context, strata []*tauStratum, rounds int, depe
 	removed := make([]int, 0, rounds)
 	for round := 0; round < rounds; round++ {
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drilldown: interrupted after %d greedy rounds: %w", round, err)
+			return nil, interrupted(round, err)
 		}
 		selStratum, selIdx := -1, -1
 		var selScore float64
@@ -226,6 +226,8 @@ func improvement(s, contrib float64, dependence bool) float64 {
 func (st *tauStratum) scan(d direction) (float64, bool) {
 	return st.sweep(tauRec{}, 0, d)
 }
+
+func (st *tauStratum) size() int { return len(st.live) }
 
 // take removes the current best candidate, fills its slot with the last
 // live record, and sweeps the survivors once for the next best.

@@ -356,8 +356,10 @@ func writeCheckAllResults(w http.ResponseWriter, r *http.Request, results []dete
 // The request names either one constraint (constraint / constraint_id — the
 // original single-constraint form, whose response carries the per-drill
 // statistics) or a family (constraints / constraint_ids), which is drilled
-// concurrently over drilldown.MultiTopK's worker pool (workers, defaulting
-// to the server-wide pool size) and pooled into one deduplicated ranking.
+// concurrently over drilldown.MultiTopK's worker pool and pooled into one
+// deduplicated ranking. Either form's pool (a family's constraints, a
+// drill's strata) is bounded by workers, defaulting to the server-wide
+// pool size.
 func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Dataset       string   `json:"dataset"`
@@ -380,7 +382,10 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	opts := drilldown.Options{Bins: req.Bins, Cache: cache}
+	opts := drilldown.Options{Bins: req.Bins, Cache: cache, Workers: req.Workers}
+	if opts.Workers <= 0 {
+		opts.Workers = s.opts.Workers
+	}
 	switch req.Strategy {
 	case "", "best":
 		opts.Strategy = drilldown.Best
@@ -458,10 +463,6 @@ func (s *Server) handleDrilldown(w http.ResponseWriter, r *http.Request) {
 		}
 		family = append(family, a.SC)
 		names = append(names, a.SC.String())
-	}
-	opts.Workers = req.Workers
-	if opts.Workers <= 0 {
-		opts.Workers = s.opts.Workers
 	}
 	opts.Hooks = s.metrics.engineHooks("drilldown")
 	rows, err := drilldown.MultiTopKContext(r.Context(), rel, family, req.K, opts)

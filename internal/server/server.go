@@ -41,7 +41,9 @@ type Options struct {
 	// MaxUploadBytes caps the size of a CSV dataset upload; defaults to
 	// 32 MiB.
 	MaxUploadBytes int64
-	// Workers bounds the checkall worker pool; 0 means GOMAXPROCS.
+	// Workers bounds the worker pools of checkall and drill-down (a
+	// family's constraints, a drill's strata) for requests that name no
+	// workers; 0 means GOMAXPROCS.
 	Workers int
 	// RequestTimeout bounds every request's context server-side: a check,
 	// drill-down or observe batch that outlives it is cancelled through the

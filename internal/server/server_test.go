@@ -572,6 +572,40 @@ func TestDrilldownMultiConstraint(t *testing.T) {
 	}
 }
 
+// TestDrilldownSingleWorkers: a single-constraint drill takes its strata's
+// greedy shares over the request's workers, so a τ and a G K^c drill over
+// four strata answer the same bytes with one worker, with four, and with
+// the server's default.
+func TestDrilldownSingleWorkers(t *testing.T) {
+	h := New(Options{}).Handler()
+	if code := do(t, h, "POST", "/v1/datasets?name=cars", "text/csv", []byte(testCSV(9, 300)), nil); code != http.StatusCreated {
+		t.Fatalf("upload: status %d", code)
+	}
+	for _, body := range []map[string]any{
+		{"dataset": "cars", "constraint": "Mileage _||_ Price | Model", "k": 20, "strategy": "kc", "method": "tau"},
+		{"dataset": "cars", "constraint": "Color _||_ Price | Model", "k": 20, "strategy": "kc", "method": "g"},
+	} {
+		var want []byte
+		for _, workers := range []int{1, 4, 0} {
+			body["workers"] = workers
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/drilldown", bytes.NewReader(b)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s workers %d: status %d: %s", body["constraint"], workers, rec.Code, rec.Body)
+			}
+			if want == nil {
+				want = rec.Body.Bytes()
+			} else if !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%s workers %d: response differs from one worker's:\n%s\nvs\n%s", body["constraint"], workers, rec.Body, want)
+			}
+		}
+	}
+}
+
 // TestDrilldownNaN422: a CSV "NaN" parses as a number, but a tau drill over
 // it is a client error naming the column, not rows or a crashed request.
 func TestDrilldownNaN422(t *testing.T) {

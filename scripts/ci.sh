@@ -62,11 +62,13 @@ go test -run='^$' -fuzz=FuzzSegment -fuzztime=10s ./internal/store
 # Gating: the drill-down delta-argmax identity properties under the race
 # detector. These are part of the suite above; the explicit run keeps the
 # fast path's row-for-row contract visible even if the full suite is ever
-# scoped down. Ten seconds of fuzzing then explores new tiny relations
-# (heavy ties, ±0, ±Inf, NaN, 1-4 strata) on which TopK must equal
-# TopKLinear for both methods, strategies, objectives and directions.
+# scoped down. -cpu 1,4 runs the strata's greedy shares on the engine pool
+# with one worker and with more workers than a small machine has cores.
+# Ten seconds of fuzzing then explores new tiny relations (heavy ties, ±0,
+# ±Inf, NaN, 1-4 strata) on which TopK must equal TopKLinear for both
+# methods, strategies, objectives and directions.
 echo "== drill-down identity (-race) and fuzz =="
-go test -race -run 'Delta|MultiTopK|WorkloadIdentity' \
+go test -race -cpu 1,4 -run 'Delta|MultiTopK|WorkloadIdentity|Prefix' \
 	./internal/drilldown/ ./internal/drillbench/
 go test -run='^$' -fuzz=FuzzTopKMatchesLinear -fuzztime=10s ./internal/drilldown
 
