@@ -27,20 +27,17 @@ fmt-check: ## fail if any file needs gofmt
 	fi
 
 bench: ## regenerate BENCH_detect.json, BENCH_drilldown.json, BENCH_stream.json and BENCH_oocore.json
-	$(GO) run ./cmd/scoded-bench -json -suite detect
-	$(GO) run ./cmd/scoded-bench -json -suite drilldown
-	$(GO) run ./cmd/scoded-bench -json -suite stream
-	$(GO) run ./cmd/scoded-bench -json -suite oocore
+	$(GO) test -run '^$$' -bench Suite -benchmem -count 5 ./internal/detect ./internal/drilldown ./internal/stream | $(GO) run ./cmd/scoded-bench -json
 
 bench-all: ## run every Go benchmark in the repo
 	$(GO) test -bench=. -benchmem ./...
 
 PROFILE_DIR ?= profiles
 
-profile: ## capture CPU + allocation profiles of the detect bench hot path (DESIGN.md section 15)
+profile: ## capture CPU + allocation profiles of the detect suite's hot path (DESIGN.md section 15)
 	mkdir -p $(PROFILE_DIR)
-	$(GO) run ./cmd/scoded-bench -json -suite detect -out /dev/null \
-		-cpuprofile $(PROFILE_DIR)/detect_cpu.pprof -memprofile $(PROFILE_DIR)/detect_mem.pprof
+	$(GO) test -run '^$$' -bench SuiteDetect -benchmem -o $(PROFILE_DIR)/detect.test \
+		-cpuprofile $(PROFILE_DIR)/detect_cpu.pprof -memprofile $(PROFILE_DIR)/detect_mem.pprof ./internal/detect
 	@echo "wrote $(PROFILE_DIR)/detect_cpu.pprof and $(PROFILE_DIR)/detect_mem.pprof"
 	@echo "inspect with: go tool pprof -top $(PROFILE_DIR)/detect_cpu.pprof"
 

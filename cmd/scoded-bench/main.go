@@ -3,45 +3,29 @@
 // paper-style tables and series. Each experiment is deterministic for a
 // given seed; EXPERIMENTS.md records the paper-vs-measured comparison.
 //
+// With -json it instead converts micro-benchmark output: it reads
+// `go test -run '^$' -bench Suite -benchmem -count N` output on stdin and
+// writes one BENCH_<suite>.json per BenchmarkSuite<Suite> function into the
+// working directory (make bench).
+//
 // Usage:
 //
 //	scoded-bench                 # run everything
 //	scoded-bench -only F12       # run one experiment (F1, T2, F7, F8, F9,
 //	                             # F10, F11, F10c, F12, F13, F14)
 //	scoded-bench -seed 7         # change the dataset seed
-//	scoded-bench -json           # run the kernel-cache CheckAll benchmark
-//	                             # and write BENCH_detect.json
-//	scoded-bench -json -suite drilldown
-//	                             # run the drill-down benchmark (linear vs
-//	                             # delta argmax, sequential vs parallel
-//	                             # MultiTopK) and write BENCH_drilldown.json
-//	scoded-bench -json -suite stream
-//	                             # run the streaming-ingest benchmark
-//	                             # (incremental vs naive sliding-window
-//	                             # kernels) and write BENCH_stream.json
-//	scoded-bench -json -suite oocore
-//	                             # run the out-of-core benchmark (resident
-//	                             # vs materialize vs segment-streamed
-//	                             # CheckAll) and write BENCH_oocore.json
-//	scoded-bench -json -out -    # ... printing the JSON to stdout instead
-//	scoded-bench -json -cpuprofile cpu.pprof -memprofile mem.pprof
-//	                             # ... capturing pprof profiles of the run
+//	go test -run '^$' -bench Suite -benchmem -count 5 \
+//	    ./internal/detect ./internal/drilldown ./internal/stream |
+//	    scoded-bench -json       # write BENCH_{detect,oocore,drilldown,stream}.json
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"time"
 
-	"scoded/internal/detectbench"
-	"scoded/internal/drillbench"
 	"scoded/internal/experiments"
-	"scoded/internal/oocorebench"
-	"scoded/internal/streambench"
 )
 
 type runner struct {
@@ -52,28 +36,18 @@ type runner struct {
 func main() {
 	only := flag.String("only", "", "run a single experiment by id (e.g. F12)")
 	seed := flag.Int64("seed", 1, "dataset seed")
-	jsonMode := flag.Bool("json", false, "run a machine-readable benchmark suite and emit JSON")
-	suite := flag.String("suite", "detect", "benchmark suite for -json: detect (kernel-cache CheckAll), drilldown (linear vs delta-argmax drill), stream (incremental vs naive sliding-window kernels) or oocore (resident vs materialize vs segment-streamed CheckAll)")
-	out := flag.String("out", "", "output path for -json ('-' for stdout; default BENCH_<suite>.json)")
-	workers := flag.Int("workers", 0, "worker pool size for -json suites (0 = GOMAXPROCS)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
+	jsonMode := flag.Bool("json", false, "convert go test -bench Suite -benchmem output on stdin into BENCH_<suite>.json files")
 	flag.Parse()
 
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scoded-bench: %v\n", err)
-		os.Exit(1)
-	}
-	defer stopProfiles()
-
 	if *jsonMode {
-		if err := runJSONBench(*suite, *seed, *workers, *out); err != nil {
-			stopProfiles()
+		paths, err := convert(os.Stdin, ".")
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "scoded-bench: %v\n", err)
 			os.Exit(1)
 		}
-		stopProfiles()
+		for _, p := range paths {
+			fmt.Println("wrote", p)
+		}
 		return
 	}
 
@@ -109,126 +83,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		stopProfiles()
 		fmt.Fprintf(os.Stderr, "scoded-bench: no experiment matches %q\n", *only)
 		os.Exit(2)
 	}
-}
-
-// startProfiles begins CPU profiling and arranges for the allocation
-// profile snapshot, returning an idempotent stop function that flushes
-// both. Empty paths disable the corresponding profile.
-func startProfiles(cpuPath, memPath string) (func(), error) {
-	var cpuFile *os.File
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			closeDiscard(f)
-			return nil, fmt.Errorf("-cpuprofile: %w", err)
-		}
-		cpuFile = f
-	}
-	stopped := false
-	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "scoded-bench: closing -cpuprofile: %v\n", err)
-			}
-		}
-		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scoded-bench: -memprofile: %v\n", err)
-				return
-			}
-			runtime.GC() // settle live heap so the allocs profile is complete
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "scoded-bench: -memprofile: %v\n", err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "scoded-bench: closing -memprofile: %v\n", err)
-			}
-		}
-	}, nil
-}
-
-// closeDiscard closes a file whose contents are already known to be unusable.
-func closeDiscard(f *os.File) {
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "scoded-bench: %v\n", err)
-	}
-}
-
-// runJSONBench measures one benchmark suite — "detect" (cold vs fresh-cache
-// vs warm-cache CheckAll over the shared-statistic kernel), "drilldown"
-// (seed-era linear greedy vs delta argmax, sequential vs parallel
-// MultiTopK), "stream" (incremental vs naive sliding-window kernels) or
-// "oocore" (resident vs materialize vs segment-streamed CheckAll) — and
-// writes the report as JSON.
-func runJSONBench(suite string, seed int64, workers int, out string) error {
-	start := time.Now()
-	var rep any
-	var summary string
-	switch suite {
-	case "detect":
-		if out == "" {
-			out = "BENCH_detect.json"
-		}
-		r := detectbench.Bench(seed, workers)
-		rep = r
-		summary = fmt.Sprintf("%.2fx fresh-cache, %.2fx warm-cache, %.2fx after-append speedup over uncached (%d constraints, %d rows",
-			r.SpeedupFreshVsCold, r.SpeedupWarmVsCold, r.SpeedupAppendVsCold, r.Constraints, r.Rows)
-	case "drilldown":
-		if out == "" {
-			out = "BENCH_drilldown.json"
-		}
-		r := drillbench.Bench(seed, workers)
-		rep = r
-		summary = fmt.Sprintf("%.2fx tau K^c, %.2fx G K^c delta-argmax speedup, %.2fx MultiTopK fan-out (%d rows, %d strata",
-			r.SpeedupTauKc, r.SpeedupGKc, r.SpeedupMulti, r.Rows, r.Strata)
-	case "stream":
-		if out == "" {
-			out = "BENCH_stream.json"
-		}
-		r := streambench.Bench(seed, workers)
-		rep = r
-		summary = fmt.Sprintf("%.2fx numeric, %.2fx categorical incremental-vs-naive records/sec (window %d",
-			r.SpeedupNumeric, r.SpeedupCategorical, r.Window)
-	case "oocore":
-		if out == "" {
-			out = "BENCH_oocore.json"
-		}
-		r, err := oocorebench.Bench(seed, workers)
-		if err != nil {
-			return fmt.Errorf("oocore suite: %w", err)
-		}
-		rep = r
-		summary = fmt.Sprintf("%.2fx stream-vs-resident time, %.2fx materialize-vs-stream-scan bytes (%d segments, %d rows",
-			r.StreamOverheadVsResident, r.MaterializeBytesVsStreamScan, r.Segments, r.Rows)
-	default:
-		return fmt.Errorf("unknown -suite %q (want detect, drilldown, stream or oocore)", suite)
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if out == "-" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	if err := os.WriteFile(out, b, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %s, measured in %v)\n",
-		out, summary, time.Since(start).Round(time.Millisecond))
-	return nil
 }

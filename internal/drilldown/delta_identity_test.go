@@ -71,7 +71,7 @@ func TestDeltaGreedyMatchesLinear(t *testing.T) {
 						opts := Options{Strategy: strat, GObjective: obj, Bins: 3}
 						label := fmt.Sprintf("seed%d/%s/%s/%s/k=%d", seed, c, strat, obj, k)
 						fast, fastErr := TopK(d, c, k, opts)
-						ref, refErr := TopKLinear(d, c, k, opts)
+						ref, refErr := topKLinear(d, c, k, opts)
 						if (fastErr == nil) != (refErr == nil) {
 							t.Fatalf("%s: err %v vs %v", label, fastErr, refErr)
 						}
@@ -111,7 +111,7 @@ func TestDeltaGreedyMatchesLinearLargeKc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := TopKLinear(d, c, run.k, opts)
+			ref, err := topKLinear(d, c, run.k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +126,7 @@ func TestDeltaGreedyMatchesLinearLargeKc(t *testing.T) {
 // each record is one byte pair, drawn from heavy ties, ±0, ±Inf and NaN on
 // the numeric side and three levels on the categorical side, in 1–4 strata.
 // For both methods, K and K^c, both G objectives and both constraint
-// directions, TopK must equal TopKLinear, or fail with the same error, at
+// directions, TopK must equal topKLinear, or fail with the same error, at
 // the default worker count and with 1 and 3 workers taking the strata's
 // shares; a NaN in a tau drill must fail.
 func FuzzTopKMatchesLinear(f *testing.F) {
@@ -166,7 +166,7 @@ func FuzzTopKMatchesLinear(f *testing.F) {
 					opts := Options{Strategy: strat, GObjective: obj, MinStratumSize: 1}
 					label := fmt.Sprintf("%s/%s/%s/k=%d", c, strat, obj, 1+int(k)%n)
 					fast, fastErr := TopK(d, c, 1+int(k)%n, opts)
-					ref, refErr := TopKLinear(d, c, 1+int(k)%n, opts)
+					ref, refErr := topKLinear(d, c, 1+int(k)%n, opts)
 					if fmt.Sprint(fastErr) != fmt.Sprint(refErr) {
 						t.Fatalf("%s: err %v vs %v", label, fastErr, refErr)
 					}
@@ -232,7 +232,7 @@ func TestGScanSkipMatchesFullScan(t *testing.T) {
 
 // TestDeltaMatchesBruteArgmax chains the identity to the brute-force
 // oracle: for k=1 the greedy argmax is provably optimal (a single removal),
-// so TopK, TopKLinear and bruteForceTopK must all select the same record.
+// so TopK, topKLinear and bruteForceTopK must all select the same record.
 // The tau objective is exact integer arithmetic; the G comparison uses the
 // ExactDelta objective, which optimizes the same quantity brute force
 // enumerates.
@@ -287,7 +287,7 @@ func checkBruteArgmax(t *testing.T, seed int64, d *relation.Relation, c sc.SC, o
 	if err != nil {
 		t.Fatalf("seed %d %s: %v", seed, c, err)
 	}
-	ref, err := TopKLinear(d, c, 1, opts)
+	ref, err := topKLinear(d, c, 1, opts)
 	if err != nil {
 		t.Fatalf("seed %d %s: %v", seed, c, err)
 	}
@@ -315,15 +315,15 @@ func checkBruteArgmax(t *testing.T, seed int64, d *relation.Relation, c sc.SC, o
 	}
 }
 
-// TestTopKLinearExposedSemantics pins that TopKLinear shares TopK's full
-// contract (validation, strategies, conditioning) — it differs only in the
-// selection bookkeeping.
+// TestTopKLinearExposedSemantics pins that the linear oracle shares TopK's
+// full contract (validation, strategies, conditioning) — it differs only in
+// the greedy it runs.
 func TestTopKLinearExposedSemantics(t *testing.T) {
 	d := figure2()
-	if _, err := TopKLinear(d, sc.MustParse("Model _||_ Color"), 0, Options{}); err == nil {
+	if _, err := topKLinear(d, sc.MustParse("Model _||_ Color"), 0, Options{}); err == nil {
 		t.Error("want error for k=0")
 	}
-	res, err := TopKLinear(d, sc.MustParse("Model _||_ Color"), 5, Options{Strategy: Kc})
+	res, err := topKLinear(d, sc.MustParse("Model _||_ Color"), 5, Options{Strategy: Kc})
 	if err != nil {
 		t.Fatal(err)
 	}

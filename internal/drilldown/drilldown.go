@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 
 	"scoded/internal/engine"
 	"scoded/internal/kernel"
@@ -110,10 +111,6 @@ type Options struct {
 	// Hooks observes per-constraint drills in MultiTopK (the server wires
 	// these into /metrics). Optional; single-constraint TopK ignores it.
 	Hooks engine.Hooks
-
-	// linear forces the seed-era full-rescan greedy selection instead of the
-	// delta-argmax fast path; set only via TopKLinear.
-	linear bool
 }
 
 func (o Options) withDefaults() Options {
@@ -168,6 +165,18 @@ func TopK(d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
 // returned error then counts the takes made and wraps the context's error
 // (context.DeadlineExceeded or context.Canceled).
 func TopKContext(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
+	return topK(ctx, d, c, k, opts, greedyDelta)
+}
+
+// greedyFunc runs a drill's greedy: the given rounds over the strata in
+// direction d, on at most workers, returning the removed rows in removal
+// order.
+type greedyFunc func(ctx context.Context, strata []greedyStratum, rounds int, d direction, workers int) ([]int, error)
+
+// topK is TopKContext over the given greedy. Drills run greedyDelta; the
+// tests also run the §5.2 linear-rescan greedy here, the oracle greedyDelta
+// must match row for row.
+func topK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options, greedy greedyFunc) (Result, error) {
 	if err := c.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -190,32 +199,51 @@ func TopKContext(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts
 
 	x := d.MustColumn(c.X[0])
 	y := d.MustColumn(c.Y[0])
-	bothNumeric := x.Kind == relation.Numeric && y.Kind == relation.Numeric
+	tau := x.Kind == relation.Numeric && y.Kind == relation.Numeric
 	switch opts.Method {
 	case GMethod:
-		return gTopK(ctx, d, c, k, opts)
+		tau = false
 	case TauMethod:
-		if !bothNumeric {
+		if !tau {
 			return Result{}, fmt.Errorf("drilldown: tau method requires numeric columns, got %s (%s) and %s (%s)",
 				c.X[0], x.Kind, c.Y[0], y.Kind)
 		}
-		return tauTopK(ctx, d, c, k, opts)
-	default:
-		if bothNumeric {
-			return tauTopK(ctx, d, c, k, opts)
-		}
-		return gTopK(ctx, d, c, k, opts)
 	}
-}
+	strataRows, strataKeys, err := strataFor(ctx, d, c, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	total := 0
+	for _, rows := range strataRows {
+		total += len(rows)
+	}
+	if total < k {
+		return Result{}, fmt.Errorf("drilldown: only %d records in testable strata, need k=%d", total, k)
+	}
+	var strata []greedyStratum
+	if tau {
+		strata, err = tauStrata(ctx, d, c, strataRows, strataKeys, total, opts.Cache)
+	} else {
+		strata, err = gStrata(ctx, d, c, strataRows, strataKeys, opts)
+	}
+	if err != nil {
+		return Result{}, err
+	}
 
-// TopKLinear is TopK with the seed-era linear-rescan greedy: every round
-// scans every alive candidate of every stratum instead of re-deriving only
-// the touched stratum's cached argmax. It is retained as the reference
-// implementation — the identity tests assert TopK matches it row for row,
-// and internal/drillbench reports the delta-argmax speedup against it.
-func TopKLinear(d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
-	opts.linear = true
-	return TopK(d, c, k, opts)
+	res := Result{Strategy: opts.resolve(c), InitialStat: sumStat(strata)}
+	dir := direction{dependence: c.Dependence, objective: opts.GObjective}
+	if res.Strategy == K {
+		dir.best = true
+		res.Rows, err = greedy(ctx, strata, k, dir, opts.Workers)
+	} else {
+		_, err = greedy(ctx, strata, total-k, dir, opts.Workers)
+		res.Rows = survivors(strata, k)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	res.FinalStat = sumStat(strata)
+	return res, nil
 }
 
 // direction is one greedy run's search: the constraint's direction, K
@@ -225,14 +253,38 @@ type direction struct {
 	objective        GObjective
 }
 
-// greedyStratum is one conditioning stratum of the delta greedy, tau's or
-// G's. Each keeps its current best candidate: scan finds it, and take
-// removes it, returns its row, and finds the next one in the same pass.
-// size is the number of live records; ok is false once none is left.
+// greedyStratum is one conditioning stratum of a drill, tau's or G's. Each
+// keeps its current best candidate: scan finds it, and take removes it,
+// returns its row, and finds the next one in the same pass. size is the
+// number of live records; ok is false once none is left. stat is the
+// stratum's dependence statistic and appendLive appends its live rows.
 type greedyStratum interface {
 	scan(d direction) (score float64, ok bool)
 	take(d direction) (row int, score float64, ok bool)
 	size() int
+	stat() float64
+	appendLive(rows []int) []int
+}
+
+// sumStat is the drill's dependence statistic: the strata's, summed in
+// stratum order.
+func sumStat(strata []greedyStratum) float64 {
+	var s float64
+	for _, st := range strata {
+		s += st.stat()
+	}
+	return s
+}
+
+// survivors returns the live rows of all strata in original order. k is
+// the expected survivor count (a capacity hint).
+func survivors(strata []greedyStratum, k int) []int {
+	out := make([]int, 0, k)
+	for _, st := range strata {
+		out = st.appendLive(out)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // step is one recorded step of a stratum: the row a take removed (none for
@@ -243,7 +295,8 @@ type step struct {
 	ok    bool
 }
 
-// greedyDelta is the delta-argmax form of tauGreedyLinear and gGreedyLinear
+// greedyDelta is the delta-argmax form of §5.2's greedy, whose linear
+// rescan scores every live candidate of every stratum each round
 // (DESIGN.md §10): an indexed max-heap holds one entry per stratum, its id
 // the stratum index and its key the stratum's best score. A removal changes
 // only its own stratum, so a round takes the top stratum's best and re-keys
@@ -254,7 +307,7 @@ type step struct {
 // A stratum's steps depend only on its own earlier takes, so the takes
 // every interleaving must make are computed ahead on the engine pool (see
 // greedyPrefix), and the heap replays them before it takes live.
-func greedyDelta[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction, workers int) ([]int, error) {
+func greedyDelta(ctx context.Context, strata []greedyStratum, rounds int, d direction, workers int) ([]int, error) {
 	steps, taken, err := greedyPrefix(ctx, strata, rounds, d, workers)
 	if err != nil {
 		return nil, err
@@ -316,7 +369,7 @@ func greedyDelta[S greedyStratum](ctx context.Context, strata []S, rounds int, d
 //
 // Each take checks ctx, as a round does; an interrupted prefix returns
 // after the pool drains, counting the takes made.
-func greedyPrefix[S greedyStratum](ctx context.Context, strata []S, rounds int, d direction, workers int) ([][]step, int, error) {
+func greedyPrefix(ctx context.Context, strata []greedyStratum, rounds int, d direction, workers int) ([][]step, int, error) {
 	total := 0
 	for _, st := range strata {
 		total += st.size()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"scoded/internal/relation"
 	"scoded/internal/sc"
@@ -70,45 +69,17 @@ type gStratum struct {
 // cell returns the flat ordinal of cell (i, j).
 func (st *gStratum) cell(i, j int) int { return i*st.ky + j }
 
-// gTopK runs the group-based G-statistic drill-down.
-func gTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
-	var strata []*gStratum
-	total := 0
-	strataRows, strataKeys, err := strataFor(ctx, d, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
+// gStrata builds the group-based state of every stratum of a G drill.
+func gStrata(ctx context.Context, d *relation.Relation, c sc.SC, strataRows [][]int, strataKeys []string, opts Options) ([]greedyStratum, error) {
+	strata := make([]greedyStratum, 0, len(strataRows))
 	for si, rows := range strataRows {
 		st, err := newGStratum(ctx, d, c, rows, strataKeys[si], opts)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		strata = append(strata, st)
-		total += len(rows)
 	}
-	if total < k {
-		return Result{}, fmt.Errorf("drilldown: only %d records in testable strata, need k=%d", total, k)
-	}
-
-	res := Result{Strategy: opts.resolve(c), InitialStat: sumG(strata)}
-	greedy := func(rounds int, best bool) ([]int, error) {
-		if opts.linear {
-			return gGreedyLinear(ctx, strata, rounds, c.Dependence, best, opts.GObjective)
-		}
-		return greedyDelta(ctx, strata, rounds, direction{c.Dependence, best, opts.GObjective}, opts.Workers)
-	}
-	switch res.Strategy {
-	case K:
-		res.Rows, err = greedy(k, true)
-	default:
-		_, err = greedy(total-k, false)
-		res.Rows = gSurvivors(strata, k)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	res.FinalStat = sumG(strata)
-	return res, nil
+	return strata, nil
 }
 
 func newGStratum(ctx context.Context, d *relation.Relation, c sc.SC, rows []int, rowsKey string, opts Options) (*gStratum, error) {
@@ -218,18 +189,10 @@ func xlnx(x float64) float64 {
 	return x * math.Log(x)
 }
 
-func sumG(strata []*gStratum) float64 {
-	var s float64
-	for _, st := range strata {
-		s += st.g
-	}
-	return s
-}
-
 // gScore evaluates a cell's removal score under the configured objective and
-// greedy direction — the shared scoring kernel of the linear and delta
-// greedy loops (it must be one function so both compute bit-identical
-// floats).
+// greedy direction — the scoring kernel of the delta greedy and of the
+// linear-rescan oracle the tests hold it to (it must be one function so
+// both compute bit-identical floats).
 func gScore(st *gStratum, i, j int, dependence, best bool, objective GObjective) float64 {
 	var impr float64
 	if objective == ExactDelta {
@@ -246,46 +209,8 @@ func gScore(st *gStratum, i, j int, dependence, best bool, objective GObjective)
 	return impr
 }
 
-// gGreedyLinear removes `rounds` records with the seed-era full rescan. Each
-// round scans every non-empty cell of every stratum, scores the cell under
-// the configured objective, and removes one record from the best cell (K
-// strategy, best=true) or the worst (K^c, best=false). The improvement
-// direction follows the constraint type: for an ISC the statistic (or
-// contribution) should fall, for a DSC it should rise.
-//
-// Retained as the reference implementation behind TopKLinear; greedyDelta
-// must match it row for row.
-func gGreedyLinear(ctx context.Context, strata []*gStratum, rounds int, dependence, best bool, objective GObjective) ([]int, error) {
-	removed := make([]int, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, interrupted(round, err)
-		}
-		selStratum, selI, selJ := -1, -1, -1
-		var selScore float64
-		for si, st := range strata {
-			for i := 0; i < st.kx; i++ {
-				for j := 0; j < st.ky; j++ {
-					if st.counts[st.cell(i, j)] <= 0 {
-						continue
-					}
-					score := gScore(st, i, j, dependence, best, objective)
-					if selI == -1 || score > selScore {
-						selStratum, selI, selJ, selScore = si, i, j, score
-					}
-				}
-			}
-		}
-		if selI == -1 {
-			break
-		}
-		removed = append(removed, strata[selStratum].remove(selI, selJ))
-	}
-	return removed, nil
-}
-
 // scan finds the stratum's best cell: the highest score and, among equal
-// scores, the first in (i, j) order, as gGreedyLinear's strict > does.
+// scores, the first in (i, j) order, as the linear rescan's strict > does.
 // A CellContribution score ±2·O·ln(O/E), E = R·C/N, can exceed 0 only on
 // one side of O·N = R·C, so a first pass scores those cells alone: the
 // products are exact below 2^26 and rounding is monotone, so any other cell
@@ -329,15 +254,11 @@ func (st *gStratum) take(d direction) (int, float64, bool) {
 	return row, score, ok
 }
 
-// gSurvivors returns the remaining rows of all strata in original order. k
-// is the expected survivor count (a capacity hint).
-func gSurvivors(strata []*gStratum, k int) []int {
-	out := make([]int, 0, k)
-	for _, st := range strata {
-		for c := 0; c < st.kx*st.ky; c++ {
-			out = append(out, st.rowArena[st.cellStart[c]+st.cellHead[c]:st.cellStart[c+1]]...)
-		}
+func (st *gStratum) stat() float64 { return st.g }
+
+func (st *gStratum) appendLive(out []int) []int {
+	for c := 0; c < st.kx*st.ky; c++ {
+		out = append(out, st.rowArena[st.cellStart[c]+st.cellHead[c]:st.cellStart[c+1]]...)
 	}
-	sort.Ints(out)
 	return out
 }

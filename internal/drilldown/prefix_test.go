@@ -35,6 +35,10 @@ func (f *fakeStratum) take(direction) (int, float64, bool) {
 	return row, score, ok
 }
 
+func (f *fakeStratum) stat() float64 { return 0 }
+
+func (f *fakeStratum) appendLive(out []int) []int { return append(out, f.rows[f.takes:]...) }
+
 func (f *fakeStratum) best() (float64, bool) {
 	if f.takes == len(f.rows) {
 		return 0, false
@@ -80,6 +84,15 @@ func mergeSequential(strata []*fakeStratum, rounds int) []int {
 	return removed
 }
 
+// asGreedy returns the fake strata as the drill's strata.
+func asGreedy(fs []*fakeStratum) []greedyStratum {
+	out := make([]greedyStratum, len(fs))
+	for z, f := range fs {
+		out[z] = f
+	}
+	return out
+}
+
 func totalTakes(strata []*fakeStratum) int {
 	n := 0
 	for _, f := range strata {
@@ -121,7 +134,7 @@ func TestGreedyPrefixMatchesSequentialMerge(t *testing.T) {
 			want := mergeSequential(fakeStrata(seed, sizes), rounds)
 			for workers := 1; workers <= 8; workers++ {
 				strata := fakeStrata(seed, sizes)
-				got, err := greedyDelta(context.Background(), strata, rounds, direction{}, workers)
+				got, err := greedyDelta(context.Background(), asGreedy(strata), rounds, direction{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -158,7 +171,7 @@ func TestGreedyPrefixShares(t *testing.T) {
 			g := shares(tc.sizes, tc.rounds)
 			for workers := 1; workers <= 8; workers++ {
 				strata := fakeStrata(1, tc.sizes)
-				steps, taken, err := greedyPrefix(context.Background(), strata, tc.rounds, direction{}, workers)
+				steps, taken, err := greedyPrefix(context.Background(), asGreedy(strata), tc.rounds, direction{}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -184,7 +197,7 @@ func TestGreedyPrefixShares(t *testing.T) {
 				}
 			}
 			want := mergeSequential(fakeStrata(1, tc.sizes), tc.rounds)
-			got, err := greedyDelta(context.Background(), fakeStrata(1, tc.sizes), tc.rounds, direction{}, 3)
+			got, err := greedyDelta(context.Background(), asGreedy(fakeStrata(1, tc.sizes)), tc.rounds, direction{}, 3)
 			if err != nil || !slices.Equal(got, want) {
 				t.Fatalf("rows %v (err %v), want %v", got, err, want)
 			}
@@ -204,7 +217,7 @@ func TestPrefixWorkersMatchLinear(t *testing.T) {
 			strat Strategy
 			k     int
 		}{{Kc, 30}, {K, 300}} {
-			ref, err := TopKLinear(d, c, run.k, Options{Strategy: run.strat})
+			ref, err := topKLinear(d, c, run.k, Options{Strategy: run.strat})
 			if err != nil {
 				t.Fatal(err)
 			}

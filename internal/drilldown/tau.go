@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"scoded/internal/kernel"
 	"scoded/internal/relation"
@@ -17,16 +16,14 @@ import (
 // tauStratum holds the drill-down state for one conditioning stratum of a
 // numeric constraint.
 type tauStratum struct {
-	rows    []int     // original row indices
-	contrib []float64 // per-record concordant-minus-discordant pair sum (linear path)
-	alive   []bool
-	s       float64 // current nc - nd of the stratum
-	nAlive  int
+	rows  []int // original row indices
+	alive []bool
+	s     float64 // current nc - nd of the stratum
 
 	// The delta greedy's packed stratum (DESIGN.md §10): the live records
 	// in any order, each removal filling its hole with the last one, and
-	// the index in live of the current best candidate. The linear path
-	// keeps live in position order.
+	// the index in live of the current best candidate. Until the first
+	// take, live is in position order.
 	live []tauRec
 	best int
 }
@@ -39,86 +36,41 @@ type tauRec struct {
 	pos    int32 // index into rows: the linear scan's order
 }
 
-// tauTopK runs the tau-statistic drill-down (Algorithm 2 plus the K / K^c
-// greedy loops) on a numeric pair.
-func tauTopK(ctx context.Context, d *relation.Relation, c sc.SC, k int, opts Options) (Result, error) {
-	var strata []*tauStratum
-	total := 0
-	strataRows, strataKeys, err := strataFor(ctx, d, c, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	for _, rows := range strataRows {
-		total += len(rows)
-	}
-	if total < k {
-		return Result{}, fmt.Errorf("drilldown: only %d records in testable strata, need k=%d", total, k)
-	}
-	// One arena per drill-down: the per-stratum packed records and alive
-	// flags (and the linear reference's float contributions) are carved out
-	// of shared buffers, and the benefit-initialization scratch (sort order
-	// and Fenwick tree) is reused across strata, so the setup cost is a
-	// handful of allocations independent of the stratum count.
+// tauStrata runs Algorithm 2's init (§5.3) on every stratum of a numeric
+// pair; total is the strata's record count. One arena per drill holds the
+// strata's packed records and alive flags, and the init scratch (sort order
+// and Fenwick tree) is reused across strata, so setup is a handful of
+// allocations independent of the stratum count.
+func tauStrata(ctx context.Context, d *relation.Relation, c sc.SC, strataRows [][]int, strataKeys []string, total int, cache *kernel.Cache) ([]greedyStratum, error) {
 	recArena := make([]tauRec, total)
 	aliveArena := make([]bool, total)
-	var contribArena []float64
-	if opts.linear {
-		contribArena = make([]float64, total)
-	}
 	var scratch tauScratch
+	strata := make([]greedyStratum, 0, len(strataRows))
 	used := 0
 	for si, rows := range strataRows {
-		st := &tauStratum{rows: rows}
 		// Cached rank views are shared read-only: init copies the ranks
 		// into the stratum-private records, which the greedy loops mutate.
-		xr, err := orderedRanks(ctx, d, opts.Cache, c.X[0], strataKeys[si], rows)
+		xr, err := orderedRanks(ctx, d, cache, c.X[0], strataKeys[si], rows)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		yr, err := orderedRanks(ctx, d, opts.Cache, c.Y[0], strataKeys[si], rows)
+		yr, err := orderedRanks(ctx, d, cache, c.Y[0], strataKeys[si], rows)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
 		end := used + len(rows)
-		st.live = recArena[used:end:end]
-		st.alive = aliveArena[used:end:end]
+		st := &tauStratum{rows: rows, live: recArena[used:end:end], alive: aliveArena[used:end:end]}
 		scratch.initBenefits(st.live, xr, yr)
 		var sum int64
 		for i, r := range st.live {
 			st.alive[i] = true
 			sum += int64(r.c)
 		}
-		if opts.linear {
-			st.contrib = contribArena[used:end:end]
-			for i, r := range st.live {
-				st.contrib[i] = float64(r.c)
-			}
-		}
-		st.nAlive = len(rows)
 		st.s = float64(sum / 2) // each pair counted from both endpoints
 		used = end
 		strata = append(strata, st)
 	}
-
-	res := Result{Strategy: opts.resolve(c), InitialStat: sumStats(strata)}
-	greedy := func(rounds int, best bool) ([]int, error) {
-		if opts.linear {
-			return tauGreedyLinear(ctx, strata, rounds, c.Dependence, best)
-		}
-		return greedyDelta(ctx, strata, rounds, direction{dependence: c.Dependence, best: best}, opts.Workers)
-	}
-	switch res.Strategy {
-	case K:
-		res.Rows, err = greedy(k, true)
-	default:
-		_, err = greedy(total-k, false)
-		res.Rows = survivors(strata, k)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	res.FinalStat = sumStats(strata)
-	return res, nil
+	return strata, nil
 }
 
 // orderedRanks returns a stratum's rank view of a numeric column. It
@@ -132,94 +84,6 @@ func orderedRanks(ctx context.Context, d *relation.Relation, cache *kernel.Cache
 		return stats.RankView{}, fmt.Errorf("drilldown: column %q contains NaN; tau needs ordered values", col)
 	}
 	return v, nil
-}
-
-func sumStats(strata []*tauStratum) float64 {
-	var s float64
-	for _, st := range strata {
-		s += st.s
-	}
-	return s
-}
-
-// tauGreedyLinear removes `rounds` records one at a time with the seed-era
-// full rescan: every round scans every alive record of every stratum. When
-// best is true each round removes the record whose removal most improves the
-// objective (the K strategy); when false, the record whose removal most
-// deteriorates it (the K^c strategy). Removed records are returned in
-// removal order as original row indices.
-//
-// The objective is sum over strata of |nc - nd|, minimized for an ISC and
-// maximized for a DSC. Removing record i from stratum z changes the
-// stratum's statistic from s to s - contrib(i), so the improvement is
-// computable in O(1) per candidate; each round scans the alive records and
-// then updates the contributions of the removed record's stratum in O(n_z).
-//
-// This is the reference implementation behind TopKLinear: the delta-argmax
-// fast path below must match it row for row (delta_identity_test.go), and
-// internal/drillbench reports the speedup of the fast path against it.
-func tauGreedyLinear(ctx context.Context, strata []*tauStratum, rounds int, dependence, best bool) ([]int, error) {
-	removed := make([]int, 0, rounds)
-	for round := 0; round < rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, interrupted(round, err)
-		}
-		selStratum, selIdx := -1, -1
-		var selScore float64
-		for si, st := range strata {
-			if st.nAlive == 0 {
-				continue
-			}
-			for i, ok := range st.alive {
-				if !ok {
-					continue
-				}
-				impr := improvement(st.s, st.contrib[i], dependence)
-				score := impr
-				if !best {
-					score = -impr
-				}
-				if selIdx == -1 || score > selScore {
-					selStratum, selIdx, selScore = si, i, score
-				}
-			}
-		}
-		if selIdx == -1 {
-			break
-		}
-		strata[selStratum].removeRecord(selIdx)
-		removed = append(removed, strata[selStratum].rows[selIdx])
-	}
-	return removed, nil
-}
-
-// removeRecord takes record i out of the stratum and updates the surviving
-// contributions: pair weights with the removed record disappear. A pair's
-// weight is 1 when concordant, -1 when discordant and 0 when tied: the
-// sign of the product of its rank differences.
-func (st *tauStratum) removeRecord(i int) {
-	st.alive[i] = false
-	st.nAlive--
-	st.s -= st.contrib[i]
-	gone := st.live[i]
-	for j, ok := range st.alive {
-		if !ok {
-			continue
-		}
-		r := st.live[j]
-		st.contrib[j] -= float64(sign64(int64(r.xr-gone.xr) * int64(r.yr-gone.yr)))
-	}
-}
-
-// improvement is the objective gain from removing a record with the given
-// contribution from a stratum with statistic s: for an ISC (dependence
-// false) the objective is to shrink |s|; for a DSC to grow it.
-func improvement(s, contrib float64, dependence bool) float64 {
-	delta := math.Abs(s) - math.Abs(s-contrib)
-	if dependence {
-		return -delta
-	}
-	return delta
 }
 
 // scan finds the stratum's first best candidate; see sweep.
@@ -246,9 +110,9 @@ func (st *tauStratum) take(d direction) (int, float64, bool) {
 // each survivor's pair weight with gone, times w (0 when nothing was
 // removed): the sign of the product of their rank differences, so a tie
 // weighs 0. It also finds the best candidate: the highest score and, among
-// equal scores, the lowest position, which is the record tauGreedyLinear's
-// strict > meets first. Scores are exact integers, equal to the linear
-// scan's float improvements.
+// equal scores, the lowest position, which is the record the linear
+// rescan's strict > meets first. Scores are exact integers, equal to the
+// linear rescan's float improvements.
 func (st *tauStratum) sweep(gone tauRec, w int64, d direction) (float64, bool) {
 	neg := int64(0) // all ones when a DSC or K^c, not both, negates the score
 	if d.dependence == d.best {
@@ -278,18 +142,14 @@ func abs64(v int64) int64 {
 	return (v ^ m) - m
 }
 
-// survivors returns the alive rows of all strata, in original order. k is
-// the expected survivor count (a capacity hint).
-func survivors(strata []*tauStratum, k int) []int {
-	out := make([]int, 0, k)
-	for _, st := range strata {
-		for i, ok := range st.alive {
-			if ok {
-				out = append(out, st.rows[i])
-			}
+func (st *tauStratum) stat() float64 { return st.s }
+
+func (st *tauStratum) appendLive(out []int) []int {
+	for i, ok := range st.alive {
+		if ok {
+			out = append(out, st.rows[i])
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 

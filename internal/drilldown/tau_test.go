@@ -78,7 +78,7 @@ func TestTauInitAndKcRoundsHandComputed(t *testing.T) {
 	// Both greedy loops agree end to end: k = 4 keeps rows 0, 1, 4 and 5.
 	d := relation.MustNew(relation.NewNumericColumn("X", x), relation.NewNumericColumn("Y", y))
 	for name, drill := range map[string]func(*relation.Relation, sc.SC, int, Options) (Result, error){
-		"TopK": TopK, "TopKLinear": TopKLinear,
+		"TopK": TopK, "topKLinear": topKLinear,
 	} {
 		res, err := drill(d, sc.MustParse("X _||_ Y"), 4, Options{Strategy: Kc})
 		if err != nil {
@@ -102,7 +102,7 @@ func TestTauRejectsNaN(t *testing.T) {
 			x, y = clean, dirty
 		}
 		d := relation.MustNew(relation.NewNumericColumn("X", x), relation.NewNumericColumn("Y", y))
-		for _, drill := range []func(*relation.Relation, sc.SC, int, Options) (Result, error){TopK, TopKLinear} {
+		for _, drill := range []func(*relation.Relation, sc.SC, int, Options) (Result, error){TopK, topKLinear} {
 			_, err := drill(d, sc.MustParse("X _||_ Y"), 2, Options{})
 			if err == nil || !strings.Contains(err.Error(), `column "`+col+`" contains NaN`) {
 				t.Errorf("NaN in %s: err %v, want it named", col, err)

@@ -13,17 +13,19 @@ import (
 // "p = 0, reject" — a silent false discovery. The analyzer enforces two
 // rules outside the detect package itself:
 //
-//  1. the error return of detect.Check / detect.CheckAll must not be
-//     discarded (blank-assigned or dropped entirely);
+//  1. the error return of detect.Check, CheckContext, CheckAll,
+//     CheckAllContext or CheckAllStream must not be discarded
+//     (blank-assigned or dropped entirely);
 //  2. a function that reads result fields (Violated, Test, Strata, Leaves)
-//     after calling detect.CheckAll must also read Result.Err somewhere.
+//     after calling one of the family entry points (CheckAll,
+//     CheckAllContext, CheckAllStream) must also read Result.Err somewhere.
 //
 // The per-function view is deliberately conservative: a function that only
 // forwards the []Result without looking inside is exempt — the reader that
 // eventually consumes the fields is the one that must check Err.
 var ResultErrAnalyzer = &Analyzer{
 	Name: "resulterr",
-	Doc:  "callers of detect.Check/CheckAll must consult errors before reading p-values or rejections",
+	Doc:  "callers of detect.Check/CheckAll and their Context and Stream forms must consult errors before reading p-values or rejections",
 	Run:  runResultErr,
 }
 
@@ -56,7 +58,7 @@ func runResultErr(pass *Pass) {
 // closures included: a closure consulting Err counts for its enclosing
 // function, matching how handler helpers are written).
 func checkResultErrFunc(pass *Pass, body *ast.BlockStmt) {
-	var checkAllCalls []*ast.CallExpr
+	var familyCalls []*ast.CallExpr
 	errConsulted := false
 	fieldRead := false
 
@@ -84,8 +86,8 @@ func checkResultErrFunc(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
-			if name, isDetect := detectCallName(pass, n); isDetect && name == "CheckAll" {
-				checkAllCalls = append(checkAllCalls, n)
+			if name, isDetect := detectCallName(pass, n); isDetect && entryPoints[name] {
+				familyCalls = append(familyCalls, n)
 			}
 		case *ast.SelectorExpr:
 			if !isDetectResult(pass.TypeOf(n.X)) {
@@ -102,14 +104,26 @@ func checkResultErrFunc(pass *Pass, body *ast.BlockStmt) {
 	})
 
 	if fieldRead && !errConsulted {
-		for _, call := range checkAllCalls {
-			pass.Reportf(call.Pos(), "detect.CheckAll results are read without consulting Result.Err; an errored constraint carries a zero p-value and a false Violated")
+		for _, call := range familyCalls {
+			name, _ := detectCallName(pass, call)
+			pass.Reportf(call.Pos(), "detect.%s results are read without consulting Result.Err; an errored constraint carries a zero p-value and a false Violated", name)
 		}
 	}
 }
 
-// detectCallName reports whether a call targets detect.Check or
-// detect.CheckAll, returning the function name.
+// entryPoints maps each detect entry point the analyzer checks to whether
+// it checks a family: those return a []Result whose per-constraint
+// failures sit on Result.Err.
+var entryPoints = map[string]bool{
+	"Check":           false,
+	"CheckContext":    false,
+	"CheckAll":        true,
+	"CheckAllContext": true,
+	"CheckAllStream":  true,
+}
+
+// detectCallName reports whether a call targets one of detect's
+// entryPoints, returning the function name.
 func detectCallName(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -125,7 +139,7 @@ func detectCallName(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
 		return "", false
 	}
-	if fn.Name() != "Check" && fn.Name() != "CheckAll" {
+	if _, ok := entryPoints[fn.Name()]; !ok {
 		return "", false
 	}
 	return fn.Name(), true

@@ -4,7 +4,10 @@
 package resulterr
 
 import (
+	"context"
+
 	"scoded/internal/detect"
+	"scoded/internal/kernel"
 	"scoded/internal/relation"
 	"scoded/internal/sc"
 )
@@ -17,6 +20,24 @@ func badDiscardErr(d *relation.Relation, a sc.Approximate) detect.Result {
 func badDiscardBatchErr(d *relation.Relation, as []sc.Approximate) []detect.Result {
 	rs, _ := detect.CheckAll(d, as, detect.BatchOptions{}) // want "error result of detect.CheckAll discarded"
 	return rs
+}
+
+func badDiscardContextErr(ctx context.Context, d *relation.Relation, a sc.Approximate) detect.Result {
+	r, _ := detect.CheckContext(ctx, d, a, detect.Options{}) // want "error result of detect.CheckContext discarded"
+	return r
+}
+
+func badContextReadWithoutErr(ctx context.Context, d *relation.Relation, as []sc.Approximate) bool {
+	rs, _ := detect.CheckAllContext(ctx, d, as, detect.BatchOptions{}) // want "error result of detect.CheckAllContext discarded" "detect.CheckAllContext results are read without consulting Result.Err"
+	return rs[0].Violated
+}
+
+func badStreamReadWithoutErr(ctx context.Context, str *kernel.Streamer, as []sc.Approximate) float64 {
+	rs, err := detect.CheckAllStream(ctx, str, as, detect.BatchOptions{}) // want "detect.CheckAllStream results are read without consulting Result.Err"
+	if err != nil {
+		return 0
+	}
+	return rs[0].Test.P
 }
 
 func badDropEverything(d *relation.Relation, as []sc.Approximate) {

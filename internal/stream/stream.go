@@ -237,9 +237,19 @@ func anchorSum[K comparable](counts map[K]int) ksum {
 // N returns the current record count.
 func (m *CategoricalMonitor) N() int { return m.n }
 
-// G returns the current G statistic.
+// G returns the current G statistic. The running sums drift by a few ulps
+// of their largest term, N·ln N. At or below 2⁻⁴⁵·N·ln N, where the χ²
+// survival's slope is unbounded and such drift would show in the p-value,
+// G is summed again from the exact anchor sums, so it depends on the
+// counts alone, not on the order the records came in. Larger values keep
+// the running sums' bits.
 func (m *CategoricalMonitor) G() float64 {
-	g := 2 * (m.sumOlnO.value() - m.sumRlnR.value() - m.sumClnC.value() + xlnx(float64(m.n)))
+	nlnn := xlnx(float64(m.n))
+	s := m.sumOlnO.value() - m.sumRlnR.value() - m.sumClnC.value() + nlnn
+	if s <= 0x1p-46*nlnn {
+		s = anchorSum(m.joint).v - anchorSum(m.rowMarg).v - anchorSum(m.colMarg).v + nlnn
+	}
+	g := 2 * s
 	if g < 0 {
 		return 0
 	}

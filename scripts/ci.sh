@@ -65,11 +65,10 @@ go test -run='^$' -fuzz=FuzzSegment -fuzztime=10s ./internal/store
 # scoped down. -cpu 1,4 runs the strata's greedy shares on the engine pool
 # with one worker and with more workers than a small machine has cores.
 # Ten seconds of fuzzing then explores new tiny relations (heavy ties, ±0,
-# ±Inf, NaN, 1-4 strata) on which TopK must equal TopKLinear for both
-# methods, strategies, objectives and directions.
+# ±Inf, NaN, 1-4 strata) on which TopK must equal the test-only linear
+# greedy for both methods, strategies, objectives and directions.
 echo "== drill-down identity (-race) and fuzz =="
-go test -race -cpu 1,4 -run 'Delta|MultiTopK|WorkloadIdentity|Prefix' \
-	./internal/drilldown/ ./internal/drillbench/
+go test -race -cpu 1,4 -run 'Delta|MultiTopK|WorkloadIdentity|Prefix' ./internal/drilldown/
 go test -run='^$' -fuzz=FuzzTopKMatchesLinear -fuzztime=10s ./internal/drilldown
 
 # Gating: the streaming incremental kernels' differential harness under
@@ -82,7 +81,7 @@ go test -run='^$' -fuzz=FuzzTopKMatchesLinear -fuzztime=10s ./internal/drilldown
 echo "== streaming differential harness (-race) =="
 go test -race -shuffle=on \
 	-run 'Fuzz|Differential|Records|Alert|StreamMetrics|NaiveAndIncremental' \
-	./internal/stream/ ./internal/streambench/ ./internal/server/
+	./internal/stream/ ./internal/server/
 
 # Gating: ten seconds of fuzzing per monitor kind, beyond the committed
 # seeds the suite above runs. The numeric index carries its sorted
@@ -114,18 +113,19 @@ go build -o "$smokedir/scoded-smoke" ./cmd/scoded-smoke
 echo "== out-of-core detection smoke =="
 "$smokedir/scoded-smoke" -serve "$smokedir/scoded-serve" -mode oocore
 
-# Non-gating: run the micro-benchmark suites. Timing noise on shared CI
-# hardware must not fail the gate, so errors only warn. The results land
-# in the temporary directory, not over the committed BENCH_*.json files,
-# so a CI run leaves the checkout clean; regenerate those with make bench.
+# Non-gating: run every micro-benchmark suite once. Timing noise on shared
+# CI hardware must not fail the gate, so errors only warn. The converter
+# runs in the temporary directory, so the BENCH_*.json files land there,
+# not over the committed ones, and a CI run leaves the checkout clean;
+# regenerate those with make bench.
 echo "== bench (non-gating) =="
-for suite in detect drilldown stream oocore; do
-	if go run ./cmd/scoded-bench -json -suite "$suite" -out "$smokedir/BENCH_$suite.json"; then
-		echo "BENCH_$suite.json written to $smokedir."
-	else
-		echo "warning: $suite bench run failed (non-gating)" >&2
-	fi
-done
+if go build -o "$smokedir/scoded-bench" ./cmd/scoded-bench &&
+	go test -run '^$' -bench Suite -benchmem -count 1 ./internal/detect ./internal/drilldown ./internal/stream |
+	(cd "$smokedir" && ./scoded-bench -json); then
+	echo "BENCH_*.json written to $smokedir."
+else
+	echo "warning: bench run failed (non-gating)" >&2
+fi
 
 # Non-gating: capture CPU + allocation profiles of the detect hot path so a
 # perf regression investigation always has a current flamegraph to diff
